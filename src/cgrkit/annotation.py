@@ -21,6 +21,8 @@ from .geometry import (
     PointCloud,
     RigidTransform,
     TriangleMesh,
+    _read_exact,
+    bin_points,
     fibonacci_sphere,
     frame_from_z,
     load_mesh,
@@ -169,29 +171,22 @@ class CgrDataset:
 
 def surface_voxel_points(mesh: TriangleMesh, resolution: float, samples_per_area: int = 200_000) -> np.ndarray:
     """One representative surface point per occupied surface voxel: the mean
-    of dense surface samples binned to the voxel grid, in occupancy order."""
+    of dense surface samples binned to the voxel grid, in occupancy order.
+    A voxel no sample reached is represented by its center."""
     grid = voxelize_mesh(mesh, resolution)
-    if not grid.occupied:
+    if not len(grid):
         raise AnnotationError("empty surface")
-    n_samples = max(1000, min(samples_per_area, 64 * len(grid.occupied)))
+    n_samples = max(1000, min(samples_per_area, 64 * len(grid)))
     cloud = sample_surface_points(mesh, n_samples, seed=0)
-    cells = np.floor((cloud.points - grid.origin) / resolution).astype(np.int64)
-    sums: dict = {}
-    counts: dict = {}
-    for cell, p in zip(map(tuple, cells), cloud.points):
-        if cell in sums:
-            sums[cell] += p
-            counts[cell] += 1
-        else:
-            sums[cell] = p.copy()
-            counts[cell] = 1
-    points = []
-    for cell in sorted(grid.occupied):
-        if cell in sums:
-            points.append(sums[cell] / counts[cell])
-        else:
-            points.append(grid.origin + (np.array(cell, dtype=float) + 0.5) * resolution)
-    return np.array(points)
+    cells = grid.cells()
+    points = grid.origin + (cells + 0.5) * resolution
+    # samples that round into an empty voxel are dropped
+    on = grid.contains_points(cloud.points)
+    keys, means = bin_points(cloud.points[on], grid.origin, resolution)
+    slot = np.zeros(grid.mask.shape, dtype=np.int64)  # index of each occupied voxel in `cells`
+    slot[grid.mask] = np.arange(len(cells))
+    points[slot[tuple((keys - grid.offset).T)]] = means
+    return points
 
 
 def candidate_frames(obj: TriangleMesh, params: AnnotationParams, seed: int = 0) -> list[RigidTransform]:
@@ -313,9 +308,9 @@ def _pack_params(params: AnnotationParams) -> bytes:
 
 
 def _unpack_params(f) -> AnnotationParams:
-    n, m, d_max, sentinel = struct.unpack("<IIff", f.read(16))
-    depths = np.frombuffer(f.read(4 * m), dtype="<f4").astype(float)
-    res, v, rad, length = struct.unpack("<fIff", f.read(16))
+    n, m, d_max, sentinel = struct.unpack("<IIff", _read_exact(f, 16, AnnotationError))
+    depths = np.frombuffer(_read_exact(f, 4 * m, AnnotationError), dtype="<f4").astype(float)
+    res, v, rad, length = struct.unpack("<fIff", _read_exact(f, 16, AnnotationError))
     grid = CgrGridParams(n, m, tuple(depths), float(d_max), float(sentinel))
     return AnnotationParams(float(res), int(v), float(rad), float(length), grid)
 
@@ -343,15 +338,12 @@ def read_dataset(path) -> CgrDataset:
         if magic != DATASET_MAGIC:
             raise AnnotationError("bad magic")
         params = _unpack_params(f)
-        (count,) = struct.unpack("<Q", f.read(8))
+        (count,) = struct.unpack("<Q", _read_exact(f, 8, AnnotationError))
         rec_size = Cgr.record_size(params.grid)
         records = []
         for _ in range(count):
-            blob = f.read(rec_size)
-            tail = f.read(5)
-            if len(blob) < rec_size or len(tail) < 5:
-                raise AnnotationError("truncated file")
-            scene_id, valid = struct.unpack("<IB", tail)
+            blob = _read_exact(f, rec_size, AnnotationError)
+            scene_id, valid = struct.unpack("<IB", _read_exact(f, 5, AnnotationError))
             cgr = Cgr.from_bytes(blob, params.grid)
             records.append(CgrRecord(cgr, scene_id, bool(valid)))
         return CgrDataset(records, params)

@@ -21,6 +21,7 @@ from .cgr import CgrGridParams, antipodal_rep, compute_cgrs
 from .geometry import (
     RigidTransform,
     TriangleMesh,
+    bin_points,
     fibonacci_sphere,
     frame_from_z,
     rotation_z,
@@ -93,18 +94,7 @@ def preset_directions(v: int) -> np.ndarray:
 def _grasp_points(mesh: TriangleMesh, params: SamplingParams, seed: int) -> np.ndarray:
     """Voxel-downsampled surface samples: one mean point per occupied cell."""
     cloud = sample_surface_points(mesh, params.surface_samples, seed)
-    res = params.grasp_point_resolution
-    cells = np.floor(cloud.points / res).astype(np.int64)
-    sums: dict = {}
-    counts: dict = {}
-    for cell, p in zip(map(tuple, cells), cloud.points):
-        if cell in sums:
-            sums[cell] += p
-            counts[cell] += 1
-        else:
-            sums[cell] = p.copy()
-            counts[cell] = 1
-    return np.array([sums[c] / counts[c] for c in sorted(sums)])
+    return bin_points(cloud.points, np.zeros(3), params.grasp_point_resolution)[1]
 
 
 def sample_local_geometries(

@@ -11,6 +11,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.ndimage import binary_fill_holes
 from scipy.spatial import cKDTree
 
 _EPS = 1e-12
@@ -21,6 +22,15 @@ POINTCLOUD_MAGIC = b"CGRKPC1\0"
 
 class GeometryError(ValueError):
     pass
+
+
+def _read_exact(f, size: int, error: type) -> bytes:
+    """The next `size` bytes of binary file `f`; raises `error("truncated
+    file")` when fewer remain."""
+    data = f.read(size)
+    if len(data) < size:
+        raise error("truncated file")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +157,12 @@ class PointCloud:
             magic = f.read(8)
             if magic != POINTCLOUD_MAGIC:
                 raise GeometryError("bad magic")
-            (n,) = struct.unpack("<Q", f.read(8))
-            pts = np.frombuffer(f.read(12 * n), dtype="<f4").reshape(n, 3)
-            flag = f.read(1)
+            (n,) = struct.unpack("<Q", _read_exact(f, 8, GeometryError))
+            pts = np.frombuffer(_read_exact(f, 12 * n, GeometryError), dtype="<f4").reshape(n, 3)
+            flag = _read_exact(f, 1, GeometryError)
             normals = None
             if flag == b"\x01":
-                normals = np.frombuffer(f.read(12 * n), dtype="<f4").reshape(n, 3)
+                normals = np.frombuffer(_read_exact(f, 12 * n, GeometryError), dtype="<f4").reshape(n, 3)
                 normals = normals.astype(float)
                 lens = np.linalg.norm(normals, axis=1)
                 lens[lens < 1e-12] = 1.0
@@ -328,8 +338,11 @@ class _Bvh:
         self._e2 = mesh._e2
         tris = np.arange(len(mesh.triangles))
         corners = mesh.vertices[mesh.triangles]  # (T, 3, 3)
-        self._tri_min = corners.min(axis=1)
-        self._tri_max = corners.max(axis=1)
+        # padded boxes: rounding in the slab test must not prune a node whose
+        # triangle the leaf test hits, even where the hit lies on a box face
+        pad = 1e-9 * (1.0 + np.abs(corners).max())
+        self._tri_min = corners.min(axis=1) - pad
+        self._tri_max = corners.max(axis=1) + pad
         self._centroid = corners.mean(axis=1)
         self._nodes = []  # (min, max, left, right, tri_indices or None)
         self._build(tris)
@@ -338,8 +351,9 @@ class _Bvh:
         lo = self._tri_min[tris].min(axis=0)
         hi = self._tri_max[tris].max(axis=0)
         idx = len(self._nodes)
+        # box corners as Python floats: the per-node slab test runs faster on them
         if len(tris) <= self._LEAF_SIZE:
-            self._nodes.append((lo, hi, -1, -1, np.sort(tris)))
+            self._nodes.append((lo.tolist(), hi.tolist(), -1, -1, np.sort(tris)))
             return idx
         self._nodes.append(None)  # placeholder
         axis = int(np.argmax(hi - lo))
@@ -347,26 +361,33 @@ class _Bvh:
         half = len(tris) // 2
         left = self._build(tris[order[:half]])
         right = self._build(tris[order[half:]])
-        self._nodes[idx] = (lo, hi, left, right, None)
+        self._nodes[idx] = (lo.tolist(), hi.tolist(), left, right, None)
         return idx
 
     @staticmethod
     def _slab_hit(lo, hi, origin, inv_dir, t_best) -> bool:
-        t0 = (lo - origin) * inv_dir
-        t1 = (hi - origin) * inv_dir
-        tmin = np.minimum(t0, t1).max()
-        tmax = np.maximum(t0, t1).min()
-        return tmax >= max(tmin, 0.0) and tmin <= t_best
+        """Does the ray enter the closed box [lo, hi] at some t in [0, t_best]?
+        On an axis the ray runs parallel to (inv_dir None) the whole ray is
+        inside that axis's slab iff its origin is, bounding planes included."""
+        t_near, t_far = 0.0, t_best
+        for l, h, o, inv in zip(lo, hi, origin, inv_dir):
+            if inv is None:
+                if not l <= o <= h:
+                    return False
+            else:
+                t0, t1 = (l - o) * inv, (h - o) * inv
+                t_near, t_far = max(t_near, min(t0, t1)), min(t_far, max(t0, t1))
+        return t_near <= t_far
 
     def intersect(self, origin, direction, t_max):
-        with np.errstate(divide="ignore"):
-            inv_dir = np.where(np.abs(direction) > _EPS, 1.0 / direction, np.inf)
+        inv_dir = [1.0 / d if abs(d) > _EPS else None for d in direction.tolist()]
+        o = origin.tolist()
         best_t = t_max
         best_tri = -1
         stack = [0]
         while stack:
             lo, hi, left, right, leaf = self._nodes[stack.pop()]
-            if not self._slab_hit(lo, hi, origin, inv_dir, best_t):
+            if not self._slab_hit(lo, hi, o, inv_dir, best_t):
                 continue
             if leaf is not None:
                 t, local = _intersect_triangles(
@@ -382,11 +403,6 @@ class _Bvh:
         if best_tri < 0:
             return np.inf, -1
         return best_t, best_tri
-
-
-def ray_mesh_intersect(mesh: TriangleMesh, origin, direction, t_max: float):
-    """Nearest intersection of a ray with a mesh; None on miss."""
-    return mesh.ray_intersect(origin, direction, t_max)
 
 
 def merge_meshes(meshes: list[TriangleMesh]) -> TriangleMesh:
@@ -407,89 +423,52 @@ def merge_meshes(meshes: list[TriangleMesh]) -> TriangleMesh:
 
 @dataclass
 class VoxelGrid:
+    """Occupancy of the cubes origin + (cell + [0, 1)^3) * voxel_size, stored
+    as a dense boolean block `mask` whose mask[0, 0, 0] is cell `offset`;
+    every cell outside the block is empty."""
+
     origin: np.ndarray
     voxel_size: float
-    occupied: set = field(default_factory=set)
+    mask: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 0), dtype=bool))
+    offset: np.ndarray = field(default_factory=lambda: np.zeros(3, dtype=np.int64))
 
     def __post_init__(self):
         if self.voxel_size <= 0:
             raise GeometryError("voxel_size must be positive")
         self.origin = np.asarray(self.origin, dtype=float).reshape(3)
+        self.mask = np.asarray(self.mask, dtype=bool)
+        self.offset = np.asarray(self.offset, dtype=np.int64).reshape(3)
 
     def __len__(self) -> int:
-        return len(self.occupied)
+        return int(np.count_nonzero(self.mask))
+
+    def cells(self) -> np.ndarray:
+        """Occupied cell indices, shape (n, 3), in lexicographic order."""
+        return np.argwhere(self.mask) + self.offset
 
     def contains_points(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask: which points fall inside occupied voxels."""
         points = np.asarray(points, dtype=float).reshape(-1, 3)
-        if not len(points) or not self.occupied:
-            return np.zeros(len(points), dtype=bool)
-        cells = np.floor((points - self.origin) / self.voxel_size).astype(np.int64)
-        return np.fromiter(
-            (tuple(c) in self.occupied for c in cells), dtype=bool, count=len(cells)
-        )
+        idx = np.floor((points - self.origin) / self.voxel_size).astype(np.int64) - self.offset
+        inside = np.all((idx >= 0) & (idx < self.mask.shape), axis=1)
+        out = np.zeros(len(points), dtype=bool)
+        out[inside] = self.mask[tuple(idx[inside].T)]
+        return out
 
     def filled(self) -> "VoxelGrid":
-        """Solid occupancy: cells not 6-connected to the outside of the
-        bounding box through free space are marked occupied."""
-        if not self.occupied:
-            return VoxelGrid(self.origin.copy(), self.voxel_size, set())
-        cells = np.array(sorted(self.occupied))
-        lo = cells.min(axis=0) - 1
-        hi = cells.max(axis=0) + 1
-        shape = tuple(hi - lo + 1)
-        solid = np.zeros(shape, dtype=bool)
-        solid[tuple((cells - lo).T)] = True
-        outside = np.zeros(shape, dtype=bool)
-        stack = [(0, 0, 0)]
-        outside[0, 0, 0] = True
-        while stack:
-            i, j, k = stack.pop()
-            for di, dj, dk in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)):
-                ni, nj, nk = i + di, j + dj, k + dk
-                if 0 <= ni < shape[0] and 0 <= nj < shape[1] and 0 <= nk < shape[2]:
-                    if not outside[ni, nj, nk] and not solid[ni, nj, nk]:
-                        outside[ni, nj, nk] = True
-                        stack.append((ni, nj, nk))
-        inner = ~outside
-        occ = {tuple(c) for c in (np.argwhere(inner) + lo)}
-        return VoxelGrid(self.origin.copy(), self.voxel_size, occ)
-
-
-def _tri_box_overlap(tri: np.ndarray, box_center: np.ndarray, half: float) -> bool:
-    """Separating-axis test between a triangle and an axis-aligned cube."""
-    v = tri - box_center
-    # box face normals
-    if np.any(v.min(axis=0) > half) or np.any(v.max(axis=0) < -half):
-        return False
-    e = np.array([v[1] - v[0], v[2] - v[1], v[0] - v[2]])
-    # triangle plane
-    n = np.cross(e[0], e[1])
-    d = np.dot(n, v[0])
-    r = half * np.sum(np.abs(n))
-    if abs(d) > r + 1e-12:
-        return False
-    # 9 cross-product axes
-    for i in range(3):
-        for ax in range(3):
-            axis = np.zeros(3)
-            axis[ax] = 1.0
-            a = np.cross(e[i], axis)
-            if np.linalg.norm(a) < _EPS:
-                continue
-            p = v @ a
-            r = half * np.sum(np.abs(a))
-            if p.min() > r + 1e-12 or p.max() < -r - 1e-12:
-                return False
-    return True
+        """Solid occupancy: free cells not 6-connected to the outside through
+        free space are marked occupied."""
+        return VoxelGrid(
+            self.origin.copy(), self.voxel_size, binary_fill_holes(self.mask), self.offset.copy()
+        )
 
 
 def _tri_box_overlap_cells(tri: np.ndarray, centers: np.ndarray, half: float) -> np.ndarray:
-    """Vectorized separating-axis test of one triangle vs many cubes."""
-    keep = np.ones(len(centers), dtype=bool)
+    """Separating-axis test of one triangle against many axis-aligned cubes
+    (Akenine-Moller, "Fast 3D Triangle-Box Overlap Testing", JGT 2001)."""
     # box face normals (AABB vs AABB)
     lo, hi = tri.min(axis=0), tri.max(axis=0)
-    keep &= np.all(centers - half <= hi + 1e-12, axis=1)
+    keep = np.all(centers - half <= hi + 1e-12, axis=1)
     keep &= np.all(centers + half >= lo - 1e-12, axis=1)
     e = np.array([tri[1] - tri[0], tri[2] - tri[1], tri[0] - tri[2]])
     # triangle plane
@@ -497,18 +476,13 @@ def _tri_box_overlap_cells(tri: np.ndarray, centers: np.ndarray, half: float) ->
     r = half * np.sum(np.abs(n))
     d = centers @ n - np.dot(n, tri[0])
     keep &= np.abs(d) <= r + 1e-12
-    # 9 edge-cross axes
-    for i in range(3):
-        for ax in range(3):
-            axis = np.zeros(3)
-            axis[ax] = 1.0
-            a = np.cross(e[i], axis)
-            if np.linalg.norm(a) < _EPS:
-                continue
-            p = tri @ a
-            r = half * np.sum(np.abs(a))
-            c = centers @ a
-            keep &= (p.min() - c <= r + 1e-12) & (p.max() - c >= -r - 1e-12)
+    # 9 edge-cross axes; an edge parallel to a box axis gives none
+    axes = np.cross(e[:, None], np.eye(3)).reshape(9, 3)
+    axes = axes[np.linalg.norm(axes, axis=1) >= _EPS]
+    p = tri @ axes.T
+    r = half * np.sum(np.abs(axes), axis=1)
+    c = centers @ axes.T
+    keep &= np.all((p.min(axis=0) - c <= r + 1e-12) & (p.max(axis=0) - c >= -r - 1e-12), axis=1)
     return keep
 
 
@@ -518,28 +492,38 @@ def voxelize_mesh(mesh: TriangleMesh, voxel_size: float) -> VoxelGrid:
     if voxel_size <= 0:
         raise GeometryError("voxel_size must be positive")
     if len(mesh) == 0:
-        return VoxelGrid(np.zeros(3), voxel_size, set())
+        return VoxelGrid(np.zeros(3), voxel_size)
     # center the grid on the mesh so that symmetric meshes voxelize symmetrically
     mn, mx = mesh.bounds()
     origin = (mn + mx) / 2.0 - voxel_size / 2.0
-    grid = VoxelGrid(origin, voxel_size, set())
     half = voxel_size / 2.0
     corners = mesh.vertices[mesh.triangles]
-    for tri in corners:
-        local = tri - origin
-        lo = np.floor(local.min(axis=0) / voxel_size - 1e-9).astype(np.int64)
-        hi = np.floor(local.max(axis=0) / voxel_size + 1e-9).astype(np.int64)
-        ii, jj, kk = np.meshgrid(
-            np.arange(lo[0], hi[0] + 1),
-            np.arange(lo[1], hi[1] + 1),
-            np.arange(lo[2], hi[2] + 1),
-            indexing="ij",
-        )
-        cells = np.column_stack([ii.ravel(), jj.ravel(), kk.ravel()])
+    local = corners - origin
+    # candidate cells of each triangle: its bounding box, widened by rounding slack
+    lo = np.floor(local.min(axis=1) / voxel_size - 1e-9).astype(np.int64)
+    hi = np.floor(local.max(axis=1) / voxel_size + 1e-9).astype(np.int64)
+    offset = lo.min(axis=0)
+    mask = np.zeros(hi.max(axis=0) - offset + 1, dtype=bool)
+    for tri, tlo, thi in zip(corners, lo, hi):
+        cells = np.indices(thi - tlo + 1).reshape(3, -1).T + tlo
         centers = origin + (cells + 0.5) * voxel_size
         hit = _tri_box_overlap_cells(tri, centers, half)
-        grid.occupied.update(map(tuple, cells[hit]))
-    return grid
+        mask[tuple((cells[hit] - offset).T)] = True
+    return VoxelGrid(origin, voxel_size, mask, offset)
+
+
+def bin_points(points: np.ndarray, origin: np.ndarray, size: float) -> tuple[np.ndarray, np.ndarray]:
+    """Group points by the grid cell floor((p - origin) / size) they fall in.
+
+    Returns the distinct cells, shape (n, 3), in lexicographic order and the
+    mean point of each cell, its sum accumulated in input order.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    cells = np.floor((points - origin) / size).astype(np.int64)
+    keys, inverse = np.unique(cells, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    sums = np.column_stack([np.bincount(inverse, weights=points[:, d]) for d in range(3)])
+    return keys, sums / np.bincount(inverse)[:, None]
 
 
 # ---------------------------------------------------------------------------

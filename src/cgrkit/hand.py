@@ -52,6 +52,8 @@ class GraspTypeSpec:
     fingertip_rays: list[FingertipRay]
     collision_mesh: TriangleMesh
     max_close_travel: float
+    # solid voxel grid of collision_mesh per voxel size, built on first use
+    _collision_grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for attr in ("principal_closing_axis", "approach_axis"):
@@ -213,15 +215,11 @@ def candidates_from_cgr(cgr: Cgr, hand: HandSpec) -> list[GraspCandidate]:
     ]
 
 
-_collision_grid_cache: dict = {}
-
-
 def _hand_voxel_grid(gt: GraspTypeSpec, voxel_size: float):
-    key = (id(gt.collision_mesh), voxel_size)
-    if key not in _collision_grid_cache:
+    if voxel_size not in gt._collision_grids:
         # filled: the hand is a solid; points fully inside must collide too
-        _collision_grid_cache[key] = voxelize_mesh(gt.collision_mesh, voxel_size).filled()
-    return _collision_grid_cache[key]
+        gt._collision_grids[voxel_size] = voxelize_mesh(gt.collision_mesh, voxel_size).filled()
+    return gt._collision_grids[voxel_size]
 
 
 def hand_scene_collision(

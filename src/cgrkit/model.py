@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .geometry import _read_exact
 
 MODEL_MAGIC = b"CGRKNN1\0"
 
@@ -23,6 +25,7 @@ SKIP_TO = 4  # input of layer 5 (0-based index 4)
 
 _P_CLAMP = 1e-7
 _BN_EPS = 1e-5
+_BN_MOMENTUM = 0.1  # weight of each batch in the running statistics
 
 
 class ModelError(ValueError):
@@ -131,7 +134,8 @@ def _forward_full(model: ModelParams, x: np.ndarray, training: bool):
         a = model.bn_gamma[i] * z_hat + model.bn_beta[i]
         r = np.maximum(a, 0.0)
         cache["layers"].append(
-            {"h_in": h, "z": z, "z_hat": z_hat, "inv_std": inv_std, "relu_mask": r > 0}
+            {"h_in": h, "z": z, "z_hat": z_hat, "inv_std": inv_std, "relu_mask": r > 0,
+             "mean": mean, "var": var}
         )
         if i == SKIP_FROM:
             skip_out = r
@@ -153,7 +157,9 @@ def loss(predictions: np.ndarray, labels: np.ndarray) -> float:
 def gradients(model: ModelParams, x: np.ndarray, y: np.ndarray, training: bool = True):
     """Analytic gradients of the batch loss for every trainable parameter.
 
-    Returns (loss_value, grads dict keyed like flat_parameters()).
+    Returns (loss_value, grads dict keyed like flat_parameters()). In
+    training mode the dict also holds each normalized layer's batch mean and
+    variance as mean{i} and var{i}, for `train`'s running statistics.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -181,7 +187,7 @@ def gradients(model: ModelParams, x: np.ndarray, y: np.ndarray, training: bool =
         grads[f"beta{i}"] = da.sum(axis=0)
         dz_hat = da * model.bn_gamma[i]
         if training:
-            m = len(x)
+            grads[f"mean{i}"], grads[f"var{i}"] = lc["mean"], lc["var"]
             # standard batchnorm backward
             dz = (
                 dz_hat
@@ -196,25 +202,6 @@ def gradients(model: ModelParams, x: np.ndarray, y: np.ndarray, training: bool =
         if i == SKIP_TO:
             d_skip = dh.copy()
     return L, grads
-
-
-def _update_running_stats(model: ModelParams, x: np.ndarray, momentum: float = 0.1):
-    """Recompute batch stats layer by layer and blend into running stats."""
-    h = x
-    skip_out = None
-    for i in range(model.n_layers - 1):
-        if i == SKIP_TO:
-            h = h + skip_out
-        z = h @ model.weights[i] + model.biases[i]
-        mean = z.mean(axis=0)
-        var = z.var(axis=0)
-        model.running_mean[i] = (1 - momentum) * model.running_mean[i] + momentum * mean
-        model.running_var[i] = (1 - momentum) * model.running_var[i] + momentum * var
-        inv_std = 1.0 / np.sqrt(var + _BN_EPS)
-        r = np.maximum(model.bn_gamma[i] * (z - mean) * inv_std + model.bn_beta[i], 0.0)
-        if i == SKIP_FROM:
-            skip_out = r
-        h = r
 
 
 @dataclass(frozen=True)
@@ -276,7 +263,10 @@ def train(
                 continue  # batch statistics need at least 2 samples
             xb, yb = features[idx], labels[idx]
             L, grads = gradients(model, xb, yb, training=True)
-            _update_running_stats(model, xb)
+            mom = _BN_MOMENTUM
+            for i in range(model.n_layers - 1):
+                model.running_mean[i] = (1 - mom) * model.running_mean[i] + mom * grads[f"mean{i}"]
+                model.running_var[i] = (1 - mom) * model.running_var[i] + mom * grads[f"var{i}"]
             step += 1
             for name, arr in model.flat_parameters():
                 g = grads[name]
@@ -313,18 +303,6 @@ class DecisionBank:
 
     models: dict  # grasp_type_id -> ModelParams
 
-    def decide(self, candidate, cgr) -> float:
-        """Success probability for a candidate: flatten the CGR and run the
-        sub-model matching the candidate's grasp type in inference mode."""
-        type_id = candidate.grasp_type_id
-        if type_id not in self.models:
-            raise ModelError(f"no sub-model for grasp type {type_id}")
-        return float(forward(self.models[type_id], cgr.flatten(), training=False))
-
-
-def decide(bank: DecisionBank, candidate, cgr) -> float:
-    return bank.decide(candidate, cgr)
-
 
 # ---------------------------------------------------------------------------
 # Serialization
@@ -340,14 +318,14 @@ def _write_model(f, model: ModelParams) -> None:
 
 
 def _read_model(f) -> ModelParams:
-    (nd,) = struct.unpack("<I", f.read(4))
-    dims = struct.unpack(f"<{nd}I", f.read(4 * nd))
+    (nd,) = struct.unpack("<I", _read_exact(f, 4, ModelError))
+    dims = struct.unpack(f"<{nd}I", _read_exact(f, 4 * nd, ModelError))
     n_layers = nd - 1
     hidden = dims[1]
 
     def read_arr(shape):
         count = int(np.prod(shape))
-        return np.frombuffer(f.read(4 * count), dtype="<f4").astype(float).reshape(shape)
+        return np.frombuffer(_read_exact(f, 4 * count, ModelError), dtype="<f4").astype(float).reshape(shape)
 
     weights = [read_arr((dims[i], dims[i + 1])) for i in range(n_layers)]
     biases = [read_arr((dims[i + 1],)) for i in range(n_layers)]
@@ -384,9 +362,9 @@ def load_bank(path) -> DecisionBank:
     with open(path, "rb") as f:
         if f.read(8) != MODEL_MAGIC:
             raise ModelError("bad magic")
-        (count,) = struct.unpack("<I", f.read(4))
+        (count,) = struct.unpack("<I", _read_exact(f, 4, ModelError))
         models = {}
         for _ in range(count):
-            (type_id,) = struct.unpack("<I", f.read(4))
+            (type_id,) = struct.unpack("<I", _read_exact(f, 4, ModelError))
             models[type_id] = _read_model(f)
         return DecisionBank(models)

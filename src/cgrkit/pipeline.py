@@ -23,9 +23,9 @@ from .annotation import (
     SceneInstance,
     annotate_scene,
 )
-from .cgr import Cgr, CgrError, antipodal_rep
+from .cgr import Cgr, CgrError, Pose6D, antipodal_rep
 from .contacts import ForceClosureParams, force_closure
-from .geometry import PointCloud, RigidTransform, rotation_z
+from .geometry import PointCloud, RigidTransform, _read_exact, rotation_z
 from .hand import (
     GraspCandidate,
     HandSpec,
@@ -119,7 +119,7 @@ class CollectionConfig:
 @dataclass
 class TrialRecord:
     cgr: Cgr
-    pose: "Pose6D"
+    pose: Pose6D
     grasp_type_id: int
     outcome: int  # 1 success, 0 failure
     friction: float
@@ -433,21 +433,19 @@ def write_trials(records: list[TrialRecord], grid_params, path) -> None:
 
 
 def read_trials(grid_params, path) -> list[TrialRecord]:
-    from .cgr import Cgr, Pose6D
-
     with open(path, "rb") as f:
         if f.read(8) != TRIALS_MAGIC:
             raise PipelineError("bad magic")
-        (count,) = struct.unpack("<Q", f.read(8))
+        (count,) = struct.unpack("<Q", _read_exact(f, 8, PipelineError))
         rec_size = Cgr.record_size(grid_params)
         out = []
         for _ in range(count):
-            cgr = Cgr.from_bytes(f.read(rec_size), grid_params)
-            pose_vals = np.frombuffer(f.read(48), dtype="<f4").astype(float)
+            cgr = Cgr.from_bytes(_read_exact(f, rec_size, PipelineError), grid_params)
+            pose_vals = np.frombuffer(_read_exact(f, 48, PipelineError), dtype="<f4").astype(float)
             R = pose_vals[:9].reshape(3, 3)
             u, _, vt = np.linalg.svd(R)
             R = u @ vt if np.linalg.det(u @ vt) > 0 else (u * [1, 1, -1]) @ vt
-            type_id, outcome, friction = struct.unpack("<HBf", f.read(7))
+            type_id, outcome, friction = struct.unpack("<HBf", _read_exact(f, 7, PipelineError))
             rec = TrialRecord(cgr, Pose6D(R, pose_vals[9:12]), type_id, outcome, friction)
             rec._raw_pose = pose_vals.astype("<f4")
             out.append(rec)

@@ -172,14 +172,23 @@ def test_ray_intersect_matches_independent_oracle(cube, sphere):
         assert hits > 50  # the fixture actually exercises hits
 
 
-def test_bvh_identical_to_brute_force(sphere):
+def test_bvh_identical_to_brute_force(sphere, cube):
     rng = np.random.default_rng(8)
+    rays = []
     for _ in range(500):
         origin = rng.uniform(-0.06, 0.06, 3)
         direction = rng.standard_normal(3)
-        direction /= np.linalg.norm(direction)
-        a = sphere.ray_intersect(origin, direction, 0.3)
-        b = sphere.ray_intersect_brute(origin, direction, 0.3)
+        rays.append((sphere, origin, direction / np.linalg.norm(direction)))
+    # axis-aligned rays, parallel to two slab axes of every node box: from the
+    # centre, from bounding-box corners and from vertices (which lie on the
+    # planes of the node boxes holding them), plus a few random origins
+    for mesh in (sphere, cube):
+        lo, hi = mesh.bounds()
+        starts = [np.zeros(3), lo, hi, *mesh.vertices[::7], *rng.uniform(-0.03, 0.03, (5, 3))]
+        rays += [(mesh, o, d) for o in starts for d in np.vstack([np.eye(3), -np.eye(3)])]
+    for mesh, origin, direction in rays:
+        a = mesh.ray_intersect(origin, direction, 0.3)
+        b = mesh.ray_intersect_brute(origin, direction, 0.3)
         if a is None or b is None:
             assert a is None and b is None
         else:
@@ -247,6 +256,16 @@ def test_point_cloud_save_load_bitwise(tmp_path):
     assert (tmp_path / "cloud.pc").read_bytes() == (tmp_path / "cloud2.pc").read_bytes()
 
 
+def test_point_cloud_load_truncated(tmp_path, cube):
+    sample_surface_points(cube, 50, seed=0).save(tmp_path / "cloud.pc")
+    blob = (tmp_path / "cloud.pc").read_bytes()
+    # inside the count, the points, before the normals flag, inside the normals
+    for cut in (12, 16 + 300, 16 + 600, len(blob) - 1):
+        (tmp_path / "cut.pc").write_bytes(blob[:cut])
+        with pytest.raises(GeometryError, match="truncated file"):
+            PointCloud.load(tmp_path / "cut.pc")
+
+
 # ---------------------------------------------------------------------------
 # Voxelization
 
@@ -255,7 +274,7 @@ def test_voxelize_unit_cube_coarse():
     cube = make_box((1.0, 1.0, 1.0))
     grid = voxelize_mesh(cube, 0.5)
     # surface shell of a 3x3x3 block: 27 - 1 interior
-    assert len(grid.occupied) == 26
+    assert len(grid) == 26
 
 
 def test_voxelize_unit_cube_fine_shell_count():
@@ -265,7 +284,7 @@ def test_voxelize_unit_cube_fine_shell_count():
     # cube faces fall on voxel centers: the surface shell spans 201 cells per
     # axis with a 199^3 empty interior
     n = int(round(1.0 / h)) + 1
-    assert len(grid.occupied) == n**3 - (n - 2) ** 3
+    assert len(grid) == n**3 - (n - 2) ** 3
 
 
 def test_voxel_grid_contains_points():
@@ -284,7 +303,7 @@ def test_voxel_grid_filled_marks_interior():
     assert not grid.contains_points(center).any()  # surface shell only
     solid = grid.filled()
     assert solid.contains_points(center).all()
-    assert len(solid.occupied) > len(grid.occupied)
+    assert len(solid) > len(grid)
     # nothing outside the cube gets filled
     assert not solid.contains_points(np.array([[0.04, 0.0, 0.0]])).any()
 

@@ -6,7 +6,9 @@ from cgrkit.cgr import CgrGridParams, Cgr, Pose6D, compute_cgr, query_grasp_pose
 from cgrkit.geometry import (
     PointCloud,
     RigidTransform,
+    TriangleMesh,
     make_box,
+    merge_meshes,
     rotation_z,
     save_obj,
 )
@@ -175,6 +177,26 @@ def test_collision_detects_points_in_palm(hand3):
     far = PointCloud(np.array([[0.5, 0.5, 0.5]]))
     assert not hand_scene_collision(cand, gt, far, voxel_size=0.005)
     assert not hand_scene_collision(cand, gt, PointCloud(np.zeros((0, 3))), 0.005)
+
+
+def test_collision_grid_belongs_to_its_spec(hand3):
+    # each spec keeps its own solid grid: a palm built where a dropped one
+    # was (and so likely under its id) must not answer with the old palm's
+    # grid. Both palms span the same box; only the solid one holds the probe.
+    solid = make_box((0.04, 0.04, 0.04))
+    plates = merge_meshes(
+        [make_box((0.004, 0.04, 0.04), center=(x, 0.0, 0.0)) for x in (-0.018, 0.018)]
+    )
+    ray = FingertipRay([0.05, 0, 0], [-1, 0, 0])
+    cand = _pinch_candidate(hand3)
+    probe = PointCloud(np.zeros((1, 3)))
+    answers = []
+    for palm in [solid, plates] * 3:
+        mesh = TriangleMesh(palm.vertices, palm.triangles)
+        gt = GraspTypeSpec(0, "x", [1, 0, 0], [0, 0, 1], [ray, ray], mesh, 0.1)
+        answers.append(hand_scene_collision(cand, gt, probe, 0.005))
+        del gt, mesh
+    assert answers == [True, False] * 3
 
 
 def test_collision_equivariant_under_pose(hand3):

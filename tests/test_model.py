@@ -230,20 +230,22 @@ def test_bank_save_load_and_decide(tmp_path):
     assert sorted(back.models) == [0, 1, 2]
     save_bank(back, tmp_path / "bank2.bin")
     assert path.read_bytes() == (tmp_path / "bank2.bin").read_bytes()
+    # each loaded sub-model decides like its original, to float32 storage precision
+    x = np.random.default_rng(15).standard_normal((4, 6))
+    for i in range(3):
+        p = forward(back.models[i], x)
+        assert np.all((p >= 0.0) & (p <= 1.0))
+        assert np.allclose(p, forward(models[i], x), atol=1e-5)
 
-    class FakeCandidate:
-        grasp_type_id = 1
 
-    class FakeCgr:
-        @staticmethod
-        def flatten():
-            return np.zeros(6)
-
-    p = back.decide(FakeCandidate(), FakeCgr())
-    assert 0.0 <= p <= 1.0
-    FakeCandidate.grasp_type_id = 9
-    with pytest.raises(ModelError):
-        back.decide(FakeCandidate(), FakeCgr())
+def test_load_bank_truncated(tmp_path):
+    save_bank(DecisionBank({i: init_model(seed=i, input_dim=6, hidden=8) for i in range(2)}), tmp_path / "b.bin")
+    blob = (tmp_path / "b.bin").read_bytes()
+    # inside the count, the first type id, the first model's weights, the last byte
+    for cut in (10, 14, 60, len(blob) - 1):
+        (tmp_path / "cut.bin").write_bytes(blob[:cut])
+        with pytest.raises(ModelError, match="truncated file"):
+            load_bank(tmp_path / "cut.bin")
 
 
 def test_load_model_rejects_bank(tmp_path):

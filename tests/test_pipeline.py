@@ -295,6 +295,17 @@ def test_trials_roundtrip_bitwise(tmp_path, trials0):
     assert path.read_bytes() == (tmp_path / "trials2.bin").read_bytes()
 
 
+def test_read_trials_truncated(tmp_path, trials0):
+    write_trials(trials0[:3], ANN.grid, tmp_path / "trials.bin")
+    blob = (tmp_path / "trials.bin").read_bytes()
+    rec = (len(blob) - 16) // 3
+    # inside the count, a CGR, a pose, the type/outcome/friction tail
+    for cut in (12, 16 + rec // 2, 16 + rec - 30, len(blob) - 1):
+        (tmp_path / "cut.bin").write_bytes(blob[:cut])
+        with pytest.raises(PipelineError, match="truncated file"):
+            read_trials(ANN.grid, tmp_path / "cut.bin")
+
+
 def test_read_trials_bad_magic(tmp_path):
     (tmp_path / "x.bin").write_bytes(b"BADMAGIC" + b"\0" * 16)
     with pytest.raises(PipelineError):
