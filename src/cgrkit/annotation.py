@@ -50,6 +50,7 @@ class Scene:
     table_point: np.ndarray
     table_normal: np.ndarray
     meshes: dict  # mesh_id -> TriangleMesh (object frame)
+    _merged: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.table_point = np.asarray(self.table_point, dtype=float).reshape(3)
@@ -64,7 +65,13 @@ class Scene:
         return self.meshes[inst.mesh_id].transformed(inst.pose)
 
     def merged_mesh(self) -> TriangleMesh:
-        return merge_meshes([self.instance_mesh(i) for i in range(len(self.instances))])
+        """All instances posed in one mesh, rebuilt only when an instance's
+        mesh object or pose bytes change, so each scene state builds one BVH."""
+        key = [(self.meshes[i.mesh_id], i.pose.rotation.tobytes(), i.pose.translation.tobytes())
+               for i in self.instances]
+        if self._merged[0] != key:
+            self._merged = (key, merge_meshes([self.instance_mesh(i) for i in range(len(self.instances))]))
+        return self._merged[1]
 
     def surface_cloud(self, count_per_instance: int = 2000, seed: int = 0) -> PointCloud:
         clouds = []

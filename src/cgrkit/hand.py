@@ -93,6 +93,7 @@ class GraspCandidate:
     source_cgr: Cgr
     antipodal_score: float
     decision_score: float | None = None
+    instance_index: int = -1  # scene instance of the source CGR, when known
 
     def __post_init__(self):
         if not (0.0 <= self.antipodal_score <= 1.0):

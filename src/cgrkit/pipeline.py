@@ -11,7 +11,7 @@ coefficient is drawn per trial; evaluation uses a fixed held-out value.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,6 +88,8 @@ def generate_scene(mesh_pool: dict, params: SceneGenParams, seed: int = 0) -> Sc
             xy = rng.uniform(-params.workspace_radius, params.workspace_radius, size=2)
             if all(np.linalg.norm(xy - p) >= params.min_separation for p in placed):
                 break
+        else:
+            raise PipelineError(f"no free position for instance {len(placed)} after 100 tries")
         placed.append(xy)
         yaw = rng.uniform(0, 2 * np.pi) if params.random_yaw else 0.0
         pose = RigidTransform(rotation_z(yaw), [xy[0], xy[1], -lo[2]])
@@ -216,7 +218,9 @@ def _ranked_cgrs(dataset: CgrDataset, k: int) -> list[tuple[CgrRecord, float]]:
 def _expand_candidates(dataset: CgrDataset, hand: HandSpec, k: int) -> list[GraspCandidate]:
     candidates = []
     for rec, _s in _ranked_cgrs(dataset, k):
-        candidates.extend(candidates_from_cgr(rec.cgr, hand))
+        for c in candidates_from_cgr(rec.cgr, hand):
+            c.instance_index = rec.instance_index
+            candidates.append(c)
     return candidates
 
 
@@ -351,16 +355,6 @@ class EvalStats:
             self.per_type_successes[t] = self.per_type_successes.get(t, 0) + c
 
 
-def _nearest_instance(scene: Scene, point: np.ndarray) -> int:
-    best, best_d = -1, np.inf
-    for i in range(len(scene.instances)):
-        mesh = scene.instance_mesh(i)
-        d = np.min(np.linalg.norm(mesh.vertices - point, axis=1))
-        if d < best_d:
-            best, best_d = i, d
-    return best
-
-
 def evaluate(
     policy: str,
     scenes: list[Scene],
@@ -408,8 +402,7 @@ def evaluate(
                 stats.per_type_successes[top.grasp_type_id] = (
                     stats.per_type_successes.get(top.grasp_type_id, 0) + 1
                 )
-                idx = _nearest_instance(state, top.pose.translation)
-                state = state.without_instance(idx)
+                state = state.without_instance(top.instance_index)
     return stats
 
 

@@ -81,6 +81,26 @@ def test_scene_helpers(box_scene):
     assert len(emptier.instances) == 0
 
 
+def test_merged_mesh_follows_scene_state(box_scene):
+    first = box_scene.merged_mesh()
+    assert box_scene.merged_mesh() is first  # one mesh, one BVH per state
+    # re-posed in place: the pose's own translation array changes
+    box_scene.instances[0].pose.translation[0] += 0.1
+    moved = box_scene.merged_mesh()
+    assert moved is not first
+    assert np.allclose(moved.bounds()[0], first.bounds()[0] + [0.1, 0.0, 0.0])
+    hit = moved.ray_intersect(np.array([0.1, 0.0, 0.2]), np.array([0.0, 0.0, -1.0]), 1.0)
+    assert hit is not None and abs(hit[0] - 0.15) < 1e-12
+    # a new pose object, then a replaced mesh object
+    box_scene.instances[0].pose = RigidTransform(rotation_z(0.3), [0.0, 0.0, 0.025])
+    turned = box_scene.merged_mesh()
+    assert turned is not moved
+    assert np.allclose(turned.vertices, box_scene.instance_mesh(0).vertices)
+    box_scene.meshes["box"] = make_box((0.02, 0.02, 0.02))
+    assert box_scene.merged_mesh() is not turned
+    assert np.allclose(box_scene.merged_mesh().vertices, box_scene.instance_mesh(0).vertices)
+
+
 def test_scene_rejects_unknown_mesh():
     with pytest.raises(AnnotationError):
         Scene(

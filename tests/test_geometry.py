@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cgrkit.geometry import (
+    _RAY_CHUNK,
     CameraIntrinsics,
     GeometryError,
     PointCloud,
@@ -194,6 +195,62 @@ def test_bvh_identical_to_brute_force(sphere, cube):
         else:
             assert a[0] == b[0]
             assert np.array_equal(a[1], b[1])
+    # from far away, x components too small to matter over a short ray carry
+    # these rays across the cube's x planes, so only a subnormal component
+    # may count as parallel: a hit, a miss, and a subnormal one
+    lo = cube.bounds()[0]
+    origins = np.array([[lo[0] - 5e-7, -1e6, 0.0], [lo[0] + 5e-7, -1e6, 0.0], [lo[0] + 1e-7, -1e6, 0.0]])
+    dirs = np.array([[0.9e-12, 1.0, 0.0], [-0.9e-12, 1.0, 0.0], [-1e-310, 1.0, 0.0]])
+    t, _tri = cube.ray_intersect_batch(origins, dirs, 2e6)
+    for i in range(3):
+        ref = cube.ray_intersect_brute(origins[i], dirs[i], 2e6)
+        single = cube.ray_intersect(origins[i], dirs[i], 2e6)
+        assert (ref is None) == (i == 1) == (single is None) == (t[i] == np.inf)
+        if ref is not None:
+            assert single[0] == ref[0] == t[i]
+    # whole batches on the 5,120-triangle sphere: random rays, axis-aligned
+    # rays from every 37th node-box corner and rays lying in one plane of
+    # such a box, at a short and a huge t_max. The sphere's triangle normals
+    # are distinct, so equal normals mean the same triangle.
+    corners = sphere._ensure_bvh().box[::37].reshape(-1, 3)
+    in_plane = rng.standard_normal(corners.shape)
+    in_plane[np.arange(len(corners)), np.arange(len(corners)) % 3] = 0.0
+    random_dirs = rng.standard_normal((500, 3))
+    origins = np.vstack([rng.uniform(-0.06, 0.06, (500, 3)), np.repeat(corners, 6, axis=0), corners])
+    dirs = np.vstack([random_dirs, np.tile(np.vstack([np.eye(3), -np.eye(3)]), (len(corners), 1)), in_plane])
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    hits = 0
+    for t_max in (0.3, 1e12):
+        t, tri = sphere.ray_intersect_batch(origins, dirs, t_max)
+        for i in range(len(origins)):
+            ref = sphere.ray_intersect_brute(origins[i], dirs[i], t_max)
+            if ref is None:
+                assert tri[i] == -1 and t[i] == np.inf
+            else:
+                assert t[i] == ref[0]
+                assert np.array_equal(sphere.normals[tri[i]], ref[1])
+                hits += 1
+    assert hits > 1000
+
+
+def test_ray_cast_edge_cases(sphere):
+    empty = TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+    x = np.array([1.0, 0.0, 0.0])
+    t, tri = empty.ray_intersect_batch(np.zeros((4, 3)), np.tile(x, (4, 1)), 1.0)
+    assert np.array_equal(t, np.full(4, np.inf)) and np.array_equal(tri, np.full(4, -1))
+    assert empty.ray_intersect(np.zeros(3), x, 1.0) is None
+    assert empty.ray_intersect_brute(np.zeros(3), x, 1.0) is None
+    t, tri = sphere.ray_intersect_batch(np.zeros((0, 3)), np.zeros((0, 3)), 1.0)
+    assert t.shape == (0,) and tri.shape == (0,)
+    # more rays than one chunk: chunk boundaries do not change any result,
+    # and every ray from the centre hits the sphere
+    n = 2 * _RAY_CHUNK + 3
+    origins = np.zeros((n, 3))
+    dirs = fibonacci_sphere(n)
+    t, tri = sphere.ray_intersect_batch(origins, dirs, 1.0)
+    whole_t, whole_tri = sphere._ensure_bvh().intersect(origins, dirs, 1.0)
+    assert np.array_equal(t, whole_t) and np.array_equal(tri, whole_tri)
+    assert np.all(tri >= 0) and np.all((t > 0.029) & (t <= 0.03 + 1e-12))
 
 
 def test_batch_matches_single(cube, sphere):
@@ -209,7 +266,8 @@ def test_batch_matches_single(cube, sphere):
                 assert single is None
             else:
                 assert single is not None
-                assert abs(t[i] - single[0]) < 1e-12
+                assert t[i] == single[0]
+                assert np.array_equal(mesh.normals[tri[i]], single[1])
 
 
 def test_ray_from_inside_cube_hits_wall(cube):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cgrkit import pipeline
 from cgrkit.annotation import AnnotationParams, CgrDataset, annotate_scene
 from cgrkit.cgr import CgrGridParams, Pose6D, compute_cgr
 from cgrkit.geometry import RigidTransform, make_box, make_cylinder
@@ -14,6 +15,7 @@ from cgrkit.pipeline import (
     SceneGenParams,
     TrialRecord,
     _expand_candidates,
+    _ranked_cgrs,
     collect,
     detect,
     detect_baseline,
@@ -106,6 +108,12 @@ def test_generate_scene_empty_pool():
         generate_scene({}, SceneGenParams())
 
 
+def test_generate_scene_raises_when_crowded(pool):
+    crowded = SceneGenParams(instances_per_scene=12, workspace_radius=0.05, min_separation=0.08)
+    with pytest.raises(PipelineError, match="no free position"):
+        generate_scene(pool, crowded, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # Grasp oracle
 
@@ -181,16 +189,18 @@ def test_detection_config_validation():
         DetectionConfig(top_cgr=0)
 
 
-def test_expand_candidates_count(dataset0, hand3):
+def test_expand_candidates_count(scene0, dataset0, hand3):
     """K1 retained CGRs each expand to one candidate per grasp type."""
     k = 20
     candidates = _expand_candidates(dataset0, hand3, k)
     assert len(candidates) == k * len(hand3.grasp_types)
-    for block in range(k):
+    for block, (rec, _s) in enumerate(_ranked_cgrs(dataset0, k)):
         chunk = candidates[4 * block : 4 * block + 4]
         assert [c.grasp_type_id for c in chunk] == [0, 1, 2, 3]
-        # all four share the CGR and its antipodal score
+        # all four share the CGR and its antipodal score, and know its instance
         assert len({id(c.source_cgr) for c in chunk}) == 1
+        assert [c.instance_index for c in chunk] == [rec.instance_index] * 4
+        assert 0 <= rec.instance_index < len(scene0.instances)
 
 
 def test_detect_scores_and_ordering(scene0, dataset0, hand3, bank0):
@@ -275,6 +285,34 @@ def test_evaluate_detect_runs(scene0, hand3, bank0, ann_cache):
         "detect", [scene0], hand3, bank0, annotation=ANN, cache=ann_cache
     )
     assert 0 < stats.attempts <= 2 * len(scene0.instances)
+
+
+def test_evaluate_clears_the_grasped_instance(hand3, monkeypatch):
+    """A pinch on a long plate whose grasp point lies nearer a vertex of a
+    small neighbouring cube than any vertex of the plate clears the plate."""
+    from conftest import simple_scene
+
+    meshes = {"plate": make_box((0.04, 0.3, 0.05)), "cube": make_box((0.02, 0.02, 0.02))}
+    scene = simple_scene(meshes, {"plate": (0.0, 0.0), "cube": (0.06, 0.0)})
+    center = np.array([0.0, 0.0, 0.025])
+    nearest_vertex = [
+        np.min(np.linalg.norm(scene.instance_mesh(i).vertices - center, axis=1)) for i in range(2)
+    ]
+    assert nearest_vertex[1] < nearest_vertex[0]
+    cgr = compute_cgr(scene.instance_mesh(0), RigidTransform(np.eye(3), center), ANN.grid)
+    grasp = _pinch_candidate(cgr, center)
+    grasp.instance_index = 0
+    seen = []
+
+    def first_call_pinches(state, *args, **kwargs):
+        seen.append([inst.mesh_id for inst in state.instances])
+        return [grasp] if len(seen) == 1 else []
+
+    monkeypatch.setattr(pipeline, "annotate_scene", lambda *args, **kwargs: None)
+    monkeypatch.setattr(pipeline, "detect_baseline", first_call_pinches)
+    stats = evaluate("baseline", [scene], hand3, None, annotation=ANN)
+    assert (stats.attempts, stats.successes) == (1, 1)
+    assert seen == [["plate", "cube"], ["cube"]]
 
 
 # ---------------------------------------------------------------------------
