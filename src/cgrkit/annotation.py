@@ -15,15 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cgr import Cgr, CgrGridParams, compute_cgrs
+from .cgr import Cgr, CgrGridParams, cgr_grids, frame_from_row, record_dtype
 from .geometry import (
-    GeometryError,
     PointCloud,
     RigidTransform,
     TriangleMesh,
     _read_exact,
     bin_points,
     fibonacci_sphere,
+    frame_array,
     frame_from_z,
     load_mesh,
     merge_meshes,
@@ -32,6 +32,9 @@ from .geometry import (
 )
 
 DATASET_MAGIC = b"CGRKDS1\0"
+# (frame, scene point) pairs per chunk of the approach filter: about 3 MB
+# of float64 offsets
+_FILTER_CHUNK = 1 << 17
 
 
 class AnnotationError(ValueError):
@@ -169,8 +172,30 @@ class CgrRecord:
 
 @dataclass
 class CgrDataset:
-    records: list[CgrRecord]
+    """K annotated CGRs as parallel arrays. `frames` are float64 as computed
+    or the file's float32 rows as read; `instance` is -1 when read."""
+
     params: AnnotationParams
+    frames: np.ndarray  # (K, 3, 4) world [R | t]
+    grids: np.ndarray  # (K, M, N, 2)
+    valid: np.ndarray  # (K,) bool
+    scene_id: np.ndarray  # (K,) uint32
+    instance: np.ndarray  # (K,) int
+
+    def __len__(self) -> int:
+        return len(self.frames)
+
+    def cgr(self, k: int) -> Cgr:
+        """Record k as a Cgr; a float32 frame read from a file is projected onto SO(3)."""
+        f = self.frames[k]
+        frame = frame_from_row(f) if f.dtype == np.float32 else RigidTransform(f[:, :3], f[:, 3])
+        return Cgr(frame, self.grids[k], self.params.grid)
+
+    @property
+    def records(self) -> list[CgrRecord]:
+        """Every record as a CgrRecord, built on each access (for inspection)."""
+        return [CgrRecord(self.cgr(k), int(s), bool(v), int(i))
+                for k, (s, v, i) in enumerate(zip(self.scene_id, self.valid, self.instance))]
 
     def valid_records(self) -> list[CgrRecord]:
         return [r for r in self.records if r.valid]
@@ -196,16 +221,44 @@ def surface_voxel_points(mesh: TriangleMesh, resolution: float, samples_per_area
     return points
 
 
-def candidate_frames(obj: TriangleMesh, params: AnnotationParams, seed: int = 0) -> list[RigidTransform]:
-    """Approach frames: surface-voxel representative points crossed with a
-    deterministic spiral of approach directions (frame z-axis)."""
+def candidate_frames(obj: TriangleMesh, params: AnnotationParams, seed: int = 0) -> np.ndarray:
+    """Approach frames (K, 3, 4): surface-voxel representative points
+    crossed with a deterministic spiral of approach directions (frame
+    z-axis), point-major."""
     points = surface_voxel_points(obj, params.surface_resolution)
-    dirs = fibonacci_sphere(params.approach_directions)
-    frames = []
-    for p in points:
-        for d in dirs:
-            frames.append(RigidTransform(frame_from_z(d), p))
-    return frames
+    rotations = np.array([frame_from_z(d) for d in fibonacci_sphere(params.approach_directions)])
+    return frame_array(np.tile(rotations, (len(points), 1, 1)), np.repeat(points, len(rotations), axis=0))
+
+
+def _approach_collisions(frames: np.ndarray, scene: Scene, radius: float, length: float,
+                         scene_points: np.ndarray, clearance: float = 0.0) -> np.ndarray:
+    """approach_collision_filter for each of K frames (K, 3, 4); the point
+    test runs in chunks of about _FILTER_CHUNK (frame, point) pairs."""
+    z = frames[:, :, 2]
+    axis = -z
+    origin = frames[:, :, 3] + clearance * z
+    n = scene.table_normal
+
+    def dot_n(v):  # per row v[k] . n, summed as np.dot sums one vector pair
+        return np.matmul(v[:, None, :], n[:, None])[:, 0, 0]
+
+    # table: does any point of the cylinder fall below the table plane?
+    # most-negative plane offset over the cylinder: center line end plus radius slack
+    h_origin = dot_n(origin - scene.table_point)
+    h_end = dot_n(origin + length * axis - scene.table_point)
+    axial = np.abs(dot_n(axis))
+    radial_slack = radius * np.sqrt(np.maximum(0.0, 1.0 - axial * axial))
+    hits = np.minimum(h_origin, h_end) - radial_slack < 0.0
+    todo = np.flatnonzero(~hits)
+    step = max(1, _FILTER_CHUNK // max(1, len(scene_points)))
+    for start in range(0, len(todo), step):
+        rows = todo[start:start + step]
+        rel = scene_points[None] - origin[rows, None]  # (c, P, 3)
+        along = np.matmul(rel, axis[rows, :, None])[..., 0]
+        c, p = np.nonzero((along >= 0.0) & (along <= length))
+        perp = rel[c, p] - along[c, p, None] * axis[rows[c]]
+        hits[rows[c[np.einsum("ij,ij->i", perp, perp) <= radius * radius]]] = True
+    return hits
 
 
 def approach_collision_filter(
@@ -221,33 +274,12 @@ def approach_collision_filter(
     hits sampled scene surfaces or the table halfspace."""
     if radius <= 0 or length <= 0:
         raise AnnotationError("radius and length must be positive")
-    axis = -frame.rotation[:, 2]
-    origin = frame.translation + clearance * frame.rotation[:, 2]
-    # table: does any point of the cylinder fall below the table plane?
-    n = scene.table_normal
-    # most-negative plane offset over the cylinder: center line end plus radius slack
-    h_origin = np.dot(origin - scene.table_point, n)
-    h_end = np.dot(origin + length * axis - scene.table_point, n)
-    axial = abs(np.dot(axis, n))
-    radial_slack = radius * np.sqrt(max(0.0, 1.0 - axial * axial))
-    if min(h_origin, h_end) - radial_slack < 0.0:
-        return True
     if scene_points is None:
-        clouds = []
-        for i in range(len(scene.instances)):
-            if i == ignore_instance:
-                continue
-            clouds.append(sample_surface_points(scene.instance_mesh(i), 2000, seed=1 + i).points)
+        clouds = [sample_surface_points(scene.instance_mesh(i), 2000, seed=1 + i).points
+                  for i in range(len(scene.instances)) if i != ignore_instance]
         scene_points = np.vstack(clouds) if clouds else np.zeros((0, 3))
-    if len(scene_points):
-        rel = scene_points - origin
-        along = rel @ axis
-        in_span = (along >= 0.0) & (along <= length)
-        if in_span.any():
-            perp = rel[in_span] - np.outer(along[in_span], axis)
-            if (np.einsum("ij,ij->i", perp, perp) <= radius * radius).any():
-                return True
-    return False
+    frames = frame_array(frame.rotation, frame.translation)[None]
+    return bool(_approach_collisions(frames, scene, radius, length, scene_points, clearance)[0])
 
 
 def annotate_scene(
@@ -261,39 +293,38 @@ def annotate_scene(
     CGRs against the object's own complete mesh, projected to world, then
     cylinder-filtered against the whole scene.
 
-    `cache` (mesh_id -> object-frame CGR list) skips recomputation when the
-    same object appears in many scenes; grids are pose-independent.
+    `cache` (mesh_id -> (mesh, params, object-frame frames, grids)) skips
+    recomputation when the same object appears in many scenes; grids are
+    pose-independent. An entry made for another mesh object or other
+    params is recomputed.
     """
     params = params or AnnotationParams()
-    records: list[CgrRecord] = []
+    g = params.grid
+    frames, grids, valid = [np.zeros((0, 3, 4))], [np.zeros((0, g.n_sections, g.n_angles, 2))], [np.zeros(0, bool)]
     scene_points_per_instance = [
         sample_surface_points(scene.instance_mesh(i), 2000, seed=1 + i).points
         for i in range(len(scene.instances))
     ]
     for idx, inst in enumerate(scene.instances):
         obj = scene.meshes[inst.mesh_id]
-        if cache is not None and inst.mesh_id in cache:
-            cgrs_obj = cache[inst.mesh_id]
-        else:
+        entry = cache[inst.mesh_id] if cache is not None and inst.mesh_id in cache else None
+        if entry is None or entry[0] is not obj or entry[1] != params:
             frames_obj = candidate_frames(obj, params, seed)
-            cgrs_obj = compute_cgrs(obj, frames_obj, params.grid)
+            entry = (obj, params, frames_obj, cgr_grids(obj, frames_obj, g))
             if cache is not None:
-                cache[inst.mesh_id] = cgrs_obj
+                cache[inst.mesh_id] = entry
+        _, _, frames_obj, grids_obj = entry
+        # the stacked forms of inst.pose.compose(frame), bit for bit
+        Rp, tp = inst.pose.rotation, inst.pose.translation
+        world = frame_array(Rp @ frames_obj[:, :, :3], (Rp @ frames_obj[:, :, 3:])[..., 0] + tp)
         others = [pts for i, pts in enumerate(scene_points_per_instance) if i != idx]
         other_points = np.vstack(others) if others else np.zeros((0, 3))
-        for cgr in cgrs_obj:
-            world_frame = inst.pose.compose(cgr.frame)
-            colliding = approach_collision_filter(
-                world_frame,
-                scene,
-                params.cylinder_radius,
-                params.cylinder_length,
-                scene_points=other_points,
-                clearance=0.0,
-            )
-            world_cgr = Cgr(world_frame, cgr.grid.copy(), params.grid)
-            records.append(CgrRecord(world_cgr, scene_id, valid=not colliding, instance_index=idx))
-    return CgrDataset(records, params)
+        frames.append(world)
+        grids.append(grids_obj)
+        valid.append(~_approach_collisions(world, scene, params.cylinder_radius, params.cylinder_length, other_points))
+    counts = [len(f) for f in frames[1:]]
+    return CgrDataset(params, np.concatenate(frames), np.concatenate(grids), np.concatenate(valid),
+                      np.full(sum(counts), scene_id, dtype=np.uint32), np.repeat(np.arange(len(counts)), counts))
 
 
 # ---------------------------------------------------------------------------
@@ -322,21 +353,22 @@ def _unpack_params(f) -> AnnotationParams:
     return AnnotationParams(float(res), int(v), float(rad), float(length), grid)
 
 
+_DATASET_TAIL = [("scene_id", "<u4"), ("valid", "u1")]
+
+
 def write_dataset(ds: CgrDataset, path) -> None:
     """Invalidated records are stored with all-zero grids."""
+    rows = np.zeros(len(ds), record_dtype(ds.params.grid, _DATASET_TAIL))
+    rows["R"] = ds.frames[:, :, :3]
+    rows["t"] = ds.frames[:, :, 3]
+    rows["grid"][ds.valid] = ds.grids[ds.valid]
+    rows["scene_id"] = ds.scene_id
+    rows["valid"] = ds.valid
     with open(path, "wb") as f:
         f.write(DATASET_MAGIC)
         f.write(_pack_params(ds.params))
-        f.write(struct.pack("<Q", len(ds.records)))
-        zeros = np.zeros(ds.params.grid.flat_size, dtype="<f4").tobytes()
-        for rec in ds.records:
-            blob = rec.cgr.to_bytes()
-            if rec.valid:
-                f.write(blob)
-            else:
-                f.write(blob[:48])
-                f.write(zeros)
-            f.write(struct.pack("<IB", rec.scene_id, 1 if rec.valid else 0))
+        f.write(struct.pack("<Q", len(rows)))
+        f.write(rows.tobytes())
 
 
 def read_dataset(path) -> CgrDataset:
@@ -346,11 +378,7 @@ def read_dataset(path) -> CgrDataset:
             raise AnnotationError("bad magic")
         params = _unpack_params(f)
         (count,) = struct.unpack("<Q", _read_exact(f, 8, AnnotationError))
-        rec_size = Cgr.record_size(params.grid)
-        records = []
-        for _ in range(count):
-            blob = _read_exact(f, rec_size, AnnotationError)
-            scene_id, valid = struct.unpack("<IB", _read_exact(f, 5, AnnotationError))
-            cgr = Cgr.from_bytes(blob, params.grid)
-            records.append(CgrRecord(cgr, scene_id, bool(valid)))
-        return CgrDataset(records, params)
+        dtype = record_dtype(params.grid, _DATASET_TAIL)
+        rows = np.frombuffer(_read_exact(f, count * dtype.itemsize, AnnotationError), dtype)
+    return CgrDataset(params, frame_array(rows["R"], rows["t"]), rows["grid"].astype(float), rows["valid"] != 0,
+                      rows["scene_id"].astype(np.uint32), np.full(count, -1))

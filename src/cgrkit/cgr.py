@@ -9,12 +9,11 @@ graspness heuristic, and a 6-DoF grasp pose.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RigidTransform, TriangleMesh, rotation_z
+from .geometry import RigidTransform, TriangleMesh, frame_array, rotation_z
 
 CGR_DEFAULT_DEPTHS = (0.005, 0.01, 0.02, 0.03, 0.04)
 
@@ -80,36 +79,6 @@ class Cgr:
         grid = np.asarray(values, dtype=float).reshape(params.n_sections, params.n_angles, 2)
         return Cgr(frame, grid, params)
 
-    def to_bytes(self) -> bytes:
-        # _raw_frame preserves the exact stored float32 frame across a
-        # read/write cycle (orthonormalization would otherwise perturb it)
-        raw = getattr(self, "_raw_frame", None)
-        if raw is None:
-            raw = np.concatenate(
-                [self.frame.rotation.reshape(9), self.frame.translation]
-            ).astype("<f4")
-        return raw.tobytes() + self.grid.astype("<f4").tobytes()
-
-    @staticmethod
-    def record_size(params: CgrGridParams) -> int:
-        return 4 * (12 + params.flat_size)
-
-    @staticmethod
-    def from_bytes(data: bytes, params: CgrGridParams) -> "Cgr":
-        vals = np.frombuffer(data, dtype="<f4").astype(float)
-        R = vals[:9].reshape(3, 3)
-        # re-orthonormalize: float32 storage degrades orthogonality
-        u, _, vt = np.linalg.svd(R)
-        R = u @ vt
-        if np.linalg.det(R) < 0:
-            u[:, -1] *= -1
-            R = u @ vt
-        frame = RigidTransform(R, vals[9:12])
-        grid = vals[12:].reshape(params.n_sections, params.n_angles, 2)
-        cgr = Cgr(frame, grid, params)
-        cgr._raw_frame = np.frombuffer(data[:48], dtype="<f4").copy()
-        return cgr
-
 
 @dataclass
 class AntipodalRep:
@@ -149,37 +118,49 @@ class Pose6D:
         return RigidTransform(self.rotation, self.translation)
 
 
-def _section_rays(frame: RigidTransform, params: CgrGridParams):
-    """World-frame ray origins/directions for all (section, angle) pairs,
-    flattened section-major."""
-    alphas = params.alphas
-    dirs_local = np.column_stack([np.cos(alphas), np.sin(alphas), np.zeros(len(alphas))])
-    dirs_world = frame.apply_vector(dirs_local)  # (N, 3)
-    z_world = frame.rotation[:, 2]
-    origins = frame.translation[None, :] + np.asarray(params.section_depths)[:, None] * z_world[None, :]
-    origins = np.repeat(origins, params.n_angles, axis=0)  # (M*N, 3)
-    dirs = np.tile(dirs_world, (params.n_sections, 1))  # (M*N, 3)
-    return origins, dirs
+def frame_from_row(row: np.ndarray) -> RigidTransform:
+    """The transform of a stored float32 [R | t] frame (3, 4). float32
+    storage degrades orthogonality, so R is projected back onto SO(3)."""
+    row = np.asarray(row, dtype=float)
+    u, _, vt = np.linalg.svd(row[:, :3])
+    R = u @ vt
+    if np.linalg.det(R) < 0:
+        u[:, -1] *= -1
+        R = u @ vt
+    return RigidTransform(R, row[:, 3])
+
+
+def record_dtype(params: CgrGridParams, tail: list) -> np.dtype:
+    """Packed little-endian file record of one CGR: its float32 frame (R
+    row-major, then t: 48 bytes) and float32 grid, then the `tail` fields."""
+    grid = ("grid", "<f4", (params.n_sections, params.n_angles, 2))
+    return np.dtype([("R", "<f4", (3, 3)), ("t", "<f4", 3), grid] + tail)
 
 
 def compute_cgr(scene_mesh: TriangleMesh, frame: RigidTransform, params: CgrGridParams | None = None) -> Cgr:
-    params = params or CgrGridParams()
     return compute_cgrs(scene_mesh, [frame], params)[0]
 
 
 def compute_cgrs(scene_mesh: TriangleMesh, frames, params: CgrGridParams | None = None) -> list[Cgr]:
     """Batched CGR computation for many frames against one mesh."""
     params = params or CgrGridParams()
-    m, n = params.n_sections, params.n_angles
-    all_origins, all_dirs = [], []
-    for frame in frames:
-        o, d = _section_rays(frame, params)
-        all_origins.append(o)
-        all_dirs.append(d)
     if not frames:
         return []
-    origins = np.vstack(all_origins)
-    dirs = np.vstack(all_dirs)
+    stacked = frame_array(np.array([f.rotation for f in frames]), np.array([f.translation for f in frames]))
+    return [Cgr(f, g, params) for f, g in zip(frames, cgr_grids(scene_mesh, stacked, params))]
+
+
+def cgr_grids(scene_mesh: TriangleMesh, frames: np.ndarray, params: CgrGridParams) -> np.ndarray:
+    """(K, M, N, 2) grids of K [R | t] frames (K, 3, 4) against one mesh,
+    all rays cast in one batch. Per frame, ray (j, i) starts at depth j on
+    the frame's z-axis and points along its in-plane angle i."""
+    k, m, n = len(frames), params.n_sections, params.n_angles
+    R = frames[:, :, :3]
+    dirs_local = np.column_stack([np.cos(params.alphas), np.sin(params.alphas), np.zeros(n)])
+    dirs = np.broadcast_to((dirs_local @ R.transpose(0, 2, 1))[:, None], (k, m, n, 3)).reshape(-1, 3)
+    depths = np.asarray(params.section_depths)[None, :, None]
+    origins = frames[:, None, :, 3] + depths * R[:, None, :, 2]  # (K, M, 3)
+    origins = np.broadcast_to(origins[:, :, None], (k, m, n, 3)).reshape(-1, 3)
     t, tri = scene_mesh.ray_intersect_batch(origins, dirs, params.d_max)
     hit = tri >= 0
     dist = np.where(hit, t, params.d_max)
@@ -188,15 +169,20 @@ def compute_cgrs(scene_mesh: TriangleMesh, frames, params: CgrGridParams | None 
         normals = scene_mesh.normals[tri[hit]]
         cosang = np.einsum("ij,ij->i", dirs[hit], normals)
         theta[hit] = np.arccos(np.clip(cosang, -1.0, 1.0))
-    out = []
-    per = m * n
-    for k, frame in enumerate(frames):
-        grid = np.stack(
-            [dist[k * per:(k + 1) * per].reshape(m, n), theta[k * per:(k + 1) * per].reshape(m, n)],
-            axis=2,
-        )
-        out.append(Cgr(frame, grid, params))
-    return out
+    return np.stack([dist, theta], axis=1).reshape(k, m, n, 2)
+
+
+def _antipodal(grid: np.ndarray, params: CgrGridParams) -> tuple:
+    """Width, friction and score over the trailing (M, N, 2) axes of `grid`;
+    leading axes are batch axes."""
+    half = params.n_angles // 2
+    d, th = grid[..., 0], grid[..., 1]
+    hit = d < params.d_max
+    width = 2.0 * np.maximum(d[..., :half], d[..., half:])
+    friction = np.maximum(np.tan(th[..., :half]), np.tan(th[..., half:]))
+    both = hit[..., :half] & hit[..., half:]
+    score = np.where(both, np.clip(1.0 - friction, 0.0, 1.0), 0.0)
+    return width, friction, score
 
 
 def antipodal_rep(cgr: Cgr) -> AntipodalRep:
@@ -205,18 +191,12 @@ def antipodal_rep(cgr: Cgr) -> AntipodalRep:
     w = 2 * max(d_a, d_{a+pi}); mu = max(tan th_a, tan th_{a+pi}).
     Score is 0 when either side missed, else clamp(1 - mu, 0, 1).
     """
-    p = cgr.params
-    half = p.n_angles // 2
-    d = cgr.grid[:, :, 0]
-    th = cgr.grid[:, :, 1]
-    hit = cgr.hits
-    d_a, d_b = d[:, :half], d[:, half:]
-    th_a, th_b = th[:, :half], th[:, half:]
-    width = 2.0 * np.maximum(d_a, d_b)
-    friction = np.maximum(np.tan(th_a), np.tan(th_b))
-    both = hit[:, :half] & hit[:, half:]
-    score = np.where(both, np.clip(1.0 - friction, 0.0, 1.0), 0.0)
-    return AntipodalRep(width, friction, score)
+    return AntipodalRep(*_antipodal(cgr.grid, cgr.params))
+
+
+def best_antipodal_scores(grids: np.ndarray, params: CgrGridParams) -> np.ndarray:
+    """`antipodal_rep(cgr).best()` score of each of K grids (K, M, N, 2)."""
+    return _antipodal(grids, params)[2].max(axis=(-2, -1))
 
 
 def graspness(cgr: Cgr, theta_threshold: float = 0.3, score_threshold: float = 0.9) -> float:

@@ -139,8 +139,7 @@ def _cmd_annotate(args) -> int:
     scene = compose_scene(scene_path)
     ds = annotate_scene(scene, params, seed=int(merged.get("seed", 0)))
     write_dataset(ds, out)
-    valid = len(ds.valid_records())
-    print(f"annotated {len(ds.records)} CGRs ({valid} valid) -> {out}")
+    print(f"annotated {len(ds)} CGRs ({int(ds.valid.sum())} valid) -> {out}")
     return 0
 
 

@@ -7,6 +7,7 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -26,11 +27,10 @@ class GeometryError(ValueError):
 
 def _read_exact(f, size: int, error: type) -> bytes:
     """The next `size` bytes of binary file `f`; raises `error("truncated
-    file")` when fewer remain."""
-    data = f.read(size)
-    if len(data) < size:
+    file")` before reading when fewer remain (a corrupt count asks for more)."""
+    if size > os.fstat(f.fileno()).st_size - f.tell():
         raise error("truncated file")
-    return data
+    return f.read(size)
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +74,11 @@ class RigidTransform:
 
     def inverse(self) -> "RigidTransform":
         return RigidTransform(self.rotation.T, -self.rotation.T @ self.translation)
+
+
+def frame_array(rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
+    """[R | t] frames (..., 3, 4) from rotations (..., 3, 3) and translations (..., 3)."""
+    return np.concatenate([rotation, np.asarray(translation)[..., None]], axis=-1)
 
 
 def rotation_z(angle: float) -> np.ndarray:

@@ -18,14 +18,13 @@ import numpy as np
 from .annotation import (
     AnnotationParams,
     CgrDataset,
-    CgrRecord,
     Scene,
     SceneInstance,
     annotate_scene,
 )
-from .cgr import Cgr, CgrError, Pose6D, antipodal_rep
+from .cgr import best_antipodal_scores, record_dtype
 from .contacts import ForceClosureParams, force_closure
-from .geometry import PointCloud, RigidTransform, _read_exact, rotation_z
+from .geometry import PointCloud, RigidTransform, _read_exact, frame_array, rotation_z
 from .hand import (
     GraspCandidate,
     HandSpec,
@@ -120,8 +119,13 @@ class CollectionConfig:
 
 @dataclass
 class TrialRecord:
-    cgr: Cgr
-    pose: Pose6D
+    """One trial: the source CGR's frame and grid and the executed grasp
+    pose. Frames are [R | t] (3, 4): float64 as collected, the file's
+    float32 values as read."""
+
+    frame: np.ndarray  # (3, 4)
+    grid: np.ndarray  # (M, N, 2)
+    pose: np.ndarray  # (3, 4)
     grasp_type_id: int
     outcome: int  # 1 success, 0 failure
     friction: float
@@ -143,16 +147,13 @@ def collect(
     records: list[TrialRecord] = []
     type_counts = {gt.id: 0 for gt in hand.grasp_types}
     per_type = -(-config.target_size // len(hand.grasp_types))  # ceil
-    # pre-extract graspable records and scene clouds
+    # pre-extract graspable rows and scene clouds
     prepared = []
     for scene, ds in annotated_scenes:
-        usable = []
-        for rec in ds.valid_records():
-            if antipodal_rep(rec.cgr).best()[2] > 0.0:
-                usable.append(rec)
+        usable = np.flatnonzero(ds.valid & (best_antipodal_scores(ds.grids, ds.params.grid) > 0.0))
         cloud = scene.surface_cloud(1500, seed=config.seed)
-        prepared.append((scene, usable, cloud))
-    if all(not usable for _, usable, _ in prepared):
+        prepared.append((scene, ds, usable, cloud))
+    if all(not len(usable) for _, _, usable, _ in prepared):
         raise PipelineError("no valid CGR in any scene")
     attempts = 0
     max_attempts = config.max_attempts_factor * config.target_size
@@ -162,28 +163,23 @@ def collect(
             raise PipelineError(
                 f"collection stalled: {len(records)}/{config.target_size} after {attempts} attempts"
             )
-        scene, usable, cloud = prepared[rng.integers(0, len(prepared))]
-        if not usable:
+        scene, ds, usable, cloud = prepared[rng.integers(0, len(prepared))]
+        if not len(usable):
             continue
-        rec = usable[rng.integers(0, len(usable))]
+        row = usable[rng.integers(0, len(usable))]
         if config.balance_types:
             open_types = [t for t, c in sorted(type_counts.items()) if c < per_type]
             type_id = open_types[rng.integers(0, len(open_types))]
         else:
             type_id = int(rng.integers(0, len(hand.grasp_types)))
-        try:
-            candidates = candidates_from_cgr(rec.cgr, hand)
-        except CgrError:
-            continue
-        candidate = candidates[type_id]
+        candidate = candidates_from_cgr(ds.cgr(row), hand)[type_id]
         gt = hand.type(type_id)
         if hand_scene_collision(candidate, gt, cloud, config.collision_voxel):
             continue
         friction = float(rng.uniform(*config.friction_range))
         success, diag = grasp_oracle(candidate, hand, scene, friction)
-        records.append(
-            TrialRecord(rec.cgr, candidate.pose, type_id, int(success), friction, diag)
-        )
+        pose = frame_array(candidate.pose.rotation, candidate.pose.translation)
+        records.append(TrialRecord(ds.frames[row], ds.grids[row], pose, type_id, int(success), friction, diag))
         type_counts[type_id] += 1
     return records
 
@@ -205,21 +201,19 @@ class DetectionConfig:
             raise PipelineError("top_cgr and top_candidates must be positive")
 
 
-def _ranked_cgrs(dataset: CgrDataset, k: int) -> list[tuple[CgrRecord, float]]:
-    scored = []
-    for rec in dataset.valid_records():
-        s = antipodal_rep(rec.cgr).best()[2]
-        if s > 0.0:
-            scored.append((rec, s))
-    scored.sort(key=lambda t: -t[1])
-    return scored[:k]
+def _ranked_cgrs(dataset: CgrDataset, k: int) -> np.ndarray:
+    """Rows of the k best valid records by antipodal score (> 0), in
+    record order among equal scores."""
+    scores = best_antipodal_scores(dataset.grids, dataset.params.grid)
+    rows = np.flatnonzero(dataset.valid & (scores > 0.0))
+    return rows[np.argsort(-scores[rows], kind="stable")[:k]]
 
 
 def _expand_candidates(dataset: CgrDataset, hand: HandSpec, k: int) -> list[GraspCandidate]:
     candidates = []
-    for rec, _s in _ranked_cgrs(dataset, k):
-        for c in candidates_from_cgr(rec.cgr, hand):
-            c.instance_index = rec.instance_index
+    for row in _ranked_cgrs(dataset, k):
+        for c in candidates_from_cgr(dataset.cgr(row), hand):
+            c.instance_index = int(dataset.instance[row])
             candidates.append(c)
     return candidates
 
@@ -410,19 +404,18 @@ def evaluate(
 # Trial record persistence
 
 
+_TRIAL_TAIL = [("pose_R", "<f4", (3, 3)), ("pose_t", "<f4", 3), ("type", "<u2"), ("outcome", "u1"), ("friction", "<f4")]
+
+
 def write_trials(records: list[TrialRecord], grid_params, path) -> None:
+    rows = np.array([
+        (r.frame[:, :3], r.frame[:, 3], r.grid, r.pose[:, :3], r.pose[:, 3], r.grasp_type_id, r.outcome, r.friction)
+        for r in records
+    ], record_dtype(grid_params, _TRIAL_TAIL))
     with open(path, "wb") as f:
         f.write(TRIALS_MAGIC)
-        f.write(struct.pack("<Q", len(records)))
-        for rec in records:
-            f.write(rec.cgr.to_bytes())
-            raw = getattr(rec, "_raw_pose", None)
-            if raw is None:
-                raw = np.concatenate(
-                    [rec.pose.rotation.reshape(9), rec.pose.translation]
-                ).astype("<f4")
-            f.write(raw.tobytes())
-            f.write(struct.pack("<HBf", rec.grasp_type_id, rec.outcome, rec.friction))
+        f.write(struct.pack("<Q", len(rows)))
+        f.write(rows.tobytes())
 
 
 def read_trials(grid_params, path) -> list[TrialRecord]:
@@ -430,19 +423,12 @@ def read_trials(grid_params, path) -> list[TrialRecord]:
         if f.read(8) != TRIALS_MAGIC:
             raise PipelineError("bad magic")
         (count,) = struct.unpack("<Q", _read_exact(f, 8, PipelineError))
-        rec_size = Cgr.record_size(grid_params)
-        out = []
-        for _ in range(count):
-            cgr = Cgr.from_bytes(_read_exact(f, rec_size, PipelineError), grid_params)
-            pose_vals = np.frombuffer(_read_exact(f, 48, PipelineError), dtype="<f4").astype(float)
-            R = pose_vals[:9].reshape(3, 3)
-            u, _, vt = np.linalg.svd(R)
-            R = u @ vt if np.linalg.det(u @ vt) > 0 else (u * [1, 1, -1]) @ vt
-            type_id, outcome, friction = struct.unpack("<HBf", _read_exact(f, 7, PipelineError))
-            rec = TrialRecord(cgr, Pose6D(R, pose_vals[9:12]), type_id, outcome, friction)
-            rec._raw_pose = pose_vals.astype("<f4")
-            out.append(rec)
-        return out
+        dtype = record_dtype(grid_params, _TRIAL_TAIL)
+        rows = np.frombuffer(_read_exact(f, count * dtype.itemsize, PipelineError), dtype)
+    frames, poses = frame_array(rows["R"], rows["t"]), frame_array(rows["pose_R"], rows["pose_t"])
+    grids = rows["grid"].astype(float)
+    tails = zip(rows["type"].tolist(), rows["outcome"].tolist(), rows["friction"].tolist())
+    return [TrialRecord(frames[i], grids[i], poses[i], *tail) for i, tail in enumerate(tails)]
 
 
 def trials_to_training_data(records: list[TrialRecord]):
@@ -450,7 +436,7 @@ def trials_to_training_data(records: list[TrialRecord]):
     by_type: dict = {}
     for rec in records:
         by_type.setdefault(rec.grasp_type_id, ([], []))
-        by_type[rec.grasp_type_id][0].append(rec.cgr.flatten())
+        by_type[rec.grasp_type_id][0].append(rec.grid.reshape(-1))
         by_type[rec.grasp_type_id][1].append(rec.outcome)
     return {
         t: (np.stack(feats), np.array(labels, dtype=float))

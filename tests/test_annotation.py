@@ -23,6 +23,7 @@ from cgrkit.geometry import (
     frame_from_z,
     make_box,
     rotation_z,
+    sample_surface_points,
     save_obj,
 )
 
@@ -135,7 +136,7 @@ def test_candidate_frames_structure(cube):
     dirs = fibonacci_sphere(SMALL.approach_directions)
     for k in (0, 5, len(frames) - 1):
         d = dirs[k % SMALL.approach_directions]
-        assert np.allclose(frames[k].rotation[:, 2], d, atol=1e-12)
+        assert np.allclose(frames[k, :, 2], d, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +158,56 @@ def test_filter_rejects_blocking_points(box_scene):
     assert approach_collision_filter(down, box_scene, 0.06, 0.25, blocking)
     clear = np.array([[0.2, 0.0, 0.15]])
     assert not approach_collision_filter(down, box_scene, 0.06, 0.25, clear)
+
+
+def _filter_per_frame(frame, scene, radius, length, points):
+    """The approach filter for one frame, written out directly."""
+    axis, origin, n = -frame.rotation[:, 2], frame.translation, scene.table_normal
+    h_origin = np.dot(origin - scene.table_point, n)
+    h_end = np.dot(origin + length * axis - scene.table_point, n)
+    axial = abs(np.dot(axis, n))
+    if min(h_origin, h_end) - radius * np.sqrt(max(0.0, 1.0 - axial * axial)) < 0.0:
+        return True
+    rel = points - origin
+    along = rel @ axis
+    span = (along >= 0.0) & (along <= length)
+    perp = rel[span] - np.outer(along[span], axis)
+    return bool((np.einsum("ij,ij->i", perp, perp) <= radius * radius).any())
+
+
+def _tilted_scene():
+    """Three posed objects over a table plane that is not axis-aligned."""
+    meshes = {"a": make_box((0.05, 0.05, 0.05)), "b": make_box((0.03, 0.03, 0.06))}
+    tilt = RigidTransform(frame_from_z(np.array([0.3, 0.1, 1.0])), [0.06, 0.01, 0.035])
+    instances = [
+        SceneInstance("a", RigidTransform(rotation_z(0.3), [0.0, 0.0, 0.03])),
+        SceneInstance("b", tilt),
+        SceneInstance("a", RigidTransform(rotation_z(-1.1), [-0.05, 0.05, 0.031])),
+    ]
+    return Scene(instances, [0.0, 0.0, 0.004], [0.05, -0.08, 1.0], meshes)
+
+
+def test_filter_batch_matches_per_frame(monkeypatch):
+    """annotate_scene's chunked filter flags exactly the frames the one-frame
+    test flags, on a tilted table with points from every other instance."""
+    from cgrkit import annotation
+
+    monkeypatch.setattr(annotation, "_FILTER_CHUNK", 5000)  # several chunks per instance
+    scene = _tilted_scene()
+    ds = annotate_scene(scene, SMALL)
+    points = [
+        sample_surface_points(scene.instance_mesh(i), 2000, seed=1 + i).points for i in range(3)
+    ]
+    for k in range(len(ds)):
+        others = np.vstack([p for i, p in enumerate(points) if i != ds.instance[k]])
+        frame = RigidTransform(ds.frames[k, :, :3], ds.frames[k, :, 3])
+        want = _filter_per_frame(frame, scene, SMALL.cylinder_radius, SMALL.cylinder_length, others)
+        assert ds.valid[k] == (not want)
+        if k % 97 == 0:
+            assert approach_collision_filter(
+                frame, scene, SMALL.cylinder_radius, SMALL.cylinder_length, others
+            ) == want
+    assert 0 < ds.valid.sum() < len(ds)
 
 
 def test_filter_validates_params(box_scene):
@@ -189,6 +240,38 @@ def test_annotate_world_frame_projection(box_scene):
     obj_frame = inst.pose.inverse().compose(rec.cgr.frame)
     again = compute_cgr(obj, obj_frame, SMALL.grid)
     assert np.max(np.abs(again.grid - rec.cgr.grid)) < 1e-9
+
+
+def test_annotate_world_frames_match_compose():
+    scene = _tilted_scene()
+    ds = annotate_scene(scene, SMALL)
+    obj_frames = {m: candidate_frames(mesh, SMALL) for m, mesh in scene.meshes.items()}
+    rows = 0
+    for idx, inst in enumerate(scene.instances):
+        local = obj_frames[inst.mesh_id]
+        mine = ds.frames[ds.instance == idx]
+        assert len(mine) == len(local)
+        for k in range(0, len(local), 7):
+            world = inst.pose.compose(RigidTransform(local[k, :, :3], local[k, :, 3]))
+            assert np.array_equal(mine[k, :, :3], world.rotation)
+            assert np.array_equal(mine[k, :, 3], world.translation)
+            rows += 1
+    assert rows > 100
+
+
+def test_annotate_cache_follows_mesh_and_params(box_scene):
+    coarse = AnnotationParams(surface_resolution=0.02, approach_directions=2)
+    fine = AnnotationParams(surface_resolution=0.01, approach_directions=2)
+    cache = {}
+    n_coarse = len(annotate_scene(box_scene, coarse, cache=cache))
+    n_fine = len(annotate_scene(box_scene, fine))
+    assert n_coarse < n_fine
+    assert len(annotate_scene(box_scene, fine, cache=cache)) == n_fine
+    # another mesh under the same id
+    big = simple_scene({"box": make_box((0.1, 0.1, 0.1))})
+    want = annotate_scene(big, fine)
+    got = annotate_scene(big, fine, cache=cache)
+    assert np.array_equal(got.grids, want.grids) and np.array_equal(got.valid, want.valid)
 
 
 def test_annotate_cache_reuse(box_scene):
@@ -247,6 +330,35 @@ def test_dataset_invalid_records_zeroed(tmp_path, box_scene):
             )
 
 
+def test_dataset_golden_layout(tmp_path):
+    """Header, then per record the 12 float32 frame values (R row-major,
+    then t), the float32 grid (zeros when invalid) and <IB (scene id, valid)."""
+    import struct
+
+    g = CgrGridParams(n_angles=4, n_sections=2, section_depths=(0.01, 0.02))
+    params = AnnotationParams(surface_resolution=0.01, approach_directions=3, grid=g)
+    rng = np.random.default_rng(5)
+    frames = np.stack([
+        np.column_stack([frame_from_z(rng.normal(size=3)), rng.normal(size=3)]) for _ in range(3)
+    ])
+    grids = rng.uniform(0.0, 0.05, (3, 2, 4, 2))
+    valid = np.array([True, False, True])
+    ds = CgrDataset(params, frames, grids, valid, np.array([7, 7, 9], np.uint32), np.zeros(3, int))
+    write_dataset(ds, tmp_path / "ds.bin")
+    want = b"CGRKDS1\0" + struct.pack("<IIff", 4, 2, 0.05, np.pi / 2) + struct.pack("<2f", 0.01, 0.02)
+    want += struct.pack("<fIff", 0.01, 3, 0.06, 0.25) + struct.pack("<Q", 3)
+    for k in range(3):
+        f = frames[k]
+        want += struct.pack("<12f", *f[:, :3].reshape(9), *f[:, 3])
+        want += struct.pack("<16f", *(grids[k].reshape(-1) if valid[k] else np.zeros(16)))
+        want += struct.pack("<IB", int(ds.scene_id[k]), int(valid[k]))
+    assert (tmp_path / "ds.bin").read_bytes() == want
+    back = read_dataset(tmp_path / "ds.bin")
+    assert back.frames.dtype == np.float32 and list(back.instance) == [-1] * 3
+    assert np.array_equal(back.frames, frames.astype(np.float32))
+    assert list(back.valid) == list(valid) and list(back.scene_id) == [7, 7, 9]
+
+
 def test_read_dataset_bad_magic(tmp_path):
     (tmp_path / "x.bin").write_bytes(b"WRONG!!\0" + b"\0" * 64)
     with pytest.raises(AnnotationError):
@@ -261,3 +373,16 @@ def test_read_dataset_truncated(tmp_path, box_scene):
     (tmp_path / "cut.bin").write_bytes(blob[: len(blob) // 2])
     with pytest.raises(AnnotationError):
         read_dataset(tmp_path / "cut.bin")
+
+
+def test_read_dataset_corrupt_count(tmp_path, box_scene):
+    ds = annotate_scene(box_scene, SMALL)
+    path = tmp_path / "ds.bin"
+    write_dataset(ds, path)
+    blob = bytearray(path.read_bytes())
+    at = 8 + 16 + 4 * SMALL.grid.n_sections + 16  # magic, params, then the record count
+    assert blob[at:at + 8] == np.uint64(len(ds)).tobytes()
+    blob[at:at + 8] = np.uint64(2**62).tobytes()
+    (tmp_path / "bad.bin").write_bytes(bytes(blob))
+    with pytest.raises(AnnotationError, match="truncated file"):
+        read_dataset(tmp_path / "bad.bin")

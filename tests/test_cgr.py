@@ -8,8 +8,10 @@ from cgrkit.cgr import (
     antipodal_rep,
     compute_cgr,
     compute_cgrs,
+    frame_from_row,
     graspness,
     query_grasp_pose,
+    record_dtype,
 )
 from cgrkit.geometry import RigidTransform, rotation_z
 
@@ -333,23 +335,40 @@ def test_query_pose_raises_without_contact(cube):
 # Serialization
 
 
+def _stored_row(cgr):
+    """The float32 [R | t] frame as a dataset or trial file stores it."""
+    return np.column_stack([cgr.frame.rotation, cgr.frame.translation]).astype(np.float32)
+
+
 def test_cgr_bytes_roundtrip_bitwise():
     rng = np.random.default_rng(8)
     p = CgrGridParams()
-    cgr = _random_cgr(rng)
-    blob = cgr.to_bytes()
-    assert len(blob) == Cgr.record_size(p)
-    back = Cgr.from_bytes(blob, p)
-    assert back.to_bytes() == blob
-    # values survive at float32 precision
-    assert np.array_equal(back.grid.astype(np.float32), cgr.grid.astype(np.float32))
-    assert np.max(np.abs(back.frame.rotation - cgr.frame.rotation)) < 1e-6
+    cgr = Cgr(random_transform(rng, t_scale=0.05), _random_cgr(rng).grid, p)
+    dtype = record_dtype(p, [])
+    assert dtype.itemsize == 4 * (12 + p.flat_size)
+    rows = np.zeros(1, dtype)
+    row = _stored_row(cgr)
+    rows["R"], rows["t"], rows["grid"] = row[:, :3], row[:, 3], cgr.grid
+    blob = rows.tobytes()
+    # frame values first (R row-major, then t), then the grid
+    assert blob == row[:, :3].tobytes() + row[:, 3].tobytes() + cgr.grid.astype("<f4").tobytes()
+    back = np.frombuffer(blob, dtype)
+    stored = np.column_stack([back["R"][0], back["t"][0]])
+    assert np.array_equal(stored, row)
+    assert np.array_equal(back["grid"][0], cgr.grid.astype(np.float32))
+    # the rows are kept as read; only the transform built from them is projected
+    frame = frame_from_row(stored)
+    assert np.max(np.abs(frame.rotation - cgr.frame.rotation)) < 1e-6
 
 
 def test_cgr_from_bytes_reorthonormalizes():
     rng = np.random.default_rng(9)
-    cgr = _random_cgr(rng)
-    back = Cgr.from_bytes(cgr.to_bytes(), cgr.params)
-    R = back.frame.rotation
-    assert np.allclose(R @ R.T, np.eye(3), atol=1e-12)
-    assert np.linalg.det(R) > 0
+    row = np.column_stack([random_transform(rng).rotation, rng.normal(size=3)]).astype(np.float32)
+    reflected = row * np.float32([[1], [1], [-1]])  # det = -1 after float32 rounding
+    for stored in (row, reflected):
+        frame = frame_from_row(stored)
+        R = frame.rotation
+        assert np.allclose(R @ R.T, np.eye(3), atol=1e-12)
+        assert abs(np.linalg.det(R) - 1.0) < 1e-12
+        assert np.array_equal(frame.translation, stored[:, 3].astype(float))
+    assert np.max(np.abs(frame_from_row(row).rotation - row[:, :3])) < 1e-6

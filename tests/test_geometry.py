@@ -324,6 +324,15 @@ def test_point_cloud_load_truncated(tmp_path, cube):
             PointCloud.load(tmp_path / "cut.pc")
 
 
+def test_point_cloud_load_corrupt_count(tmp_path, cube):
+    sample_surface_points(cube, 50, seed=0).save(tmp_path / "cloud.pc")
+    blob = bytearray((tmp_path / "cloud.pc").read_bytes())
+    blob[8:16] = np.uint64(2**62).tobytes()  # 12 * count overflows a C size
+    (tmp_path / "bad.pc").write_bytes(bytes(blob))
+    with pytest.raises(GeometryError, match="truncated file"):
+        PointCloud.load(tmp_path / "bad.pc")
+
+
 # ---------------------------------------------------------------------------
 # Voxelization
 

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cgrkit import pipeline
-from cgrkit.annotation import AnnotationParams, CgrDataset, annotate_scene
+from cgrkit.annotation import AnnotationParams, annotate_scene, read_dataset, write_dataset
 from cgrkit.cgr import CgrGridParams, Pose6D, compute_cgr
 from cgrkit.geometry import RigidTransform, make_box, make_cylinder
 from cgrkit.hand import GraspCandidate
@@ -174,8 +176,8 @@ def test_collect_requires_scenes(hand3):
         collect(CollectionConfig(target_size=5), [], hand3)
 
 
-def test_collect_requires_valid_cgrs(scene0, hand3):
-    empty = CgrDataset([], ANN)
+def test_collect_requires_valid_cgrs(scene0, dataset0, hand3):
+    empty = replace(dataset0, valid=np.zeros(len(dataset0), bool))
     with pytest.raises(PipelineError):
         collect(CollectionConfig(target_size=5), [(scene0, empty)], hand3)
 
@@ -194,13 +196,13 @@ def test_expand_candidates_count(scene0, dataset0, hand3):
     k = 20
     candidates = _expand_candidates(dataset0, hand3, k)
     assert len(candidates) == k * len(hand3.grasp_types)
-    for block, (rec, _s) in enumerate(_ranked_cgrs(dataset0, k)):
+    for block, row in enumerate(_ranked_cgrs(dataset0, k)):
         chunk = candidates[4 * block : 4 * block + 4]
         assert [c.grasp_type_id for c in chunk] == [0, 1, 2, 3]
         # all four share the CGR and its antipodal score, and know its instance
         assert len({id(c.source_cgr) for c in chunk}) == 1
-        assert [c.instance_index for c in chunk] == [rec.instance_index] * 4
-        assert 0 <= rec.instance_index < len(scene0.instances)
+        assert [c.instance_index for c in chunk] == [dataset0.instance[row]] * 4
+        assert 0 <= dataset0.instance[row] < len(scene0.instances)
 
 
 def test_detect_scores_and_ordering(scene0, dataset0, hand3, bank0):
@@ -229,6 +231,37 @@ def test_detect_missing_type_in_bank(scene0, dataset0, hand3, bank0):
     partial = DecisionBank({0: bank0.models[0]})
     with pytest.raises(PipelineError):
         detect(scene0, hand3, partial, DetectionConfig(top_cgr=5), dataset=dataset0)
+
+
+def test_detect_on_read_dataset_matches_fresh(tmp_path, scene0, dataset0, hand3, bank0):
+    """A written-then-read dataset (float32 rows, SO(3)-projected frames)
+    ranks the same grasps as the fresh one."""
+    write_dataset(dataset0, tmp_path / "ds.bin")
+    back = read_dataset(tmp_path / "ds.bin")
+    config = DetectionConfig(top_cgr=30, top_candidates=60)
+    for run in (
+        lambda ds: detect(scene0, hand3, bank0, config, dataset=ds),
+        lambda ds: detect_baseline(scene0, hand3, config, dataset=ds, seed=2),
+    ):
+        fresh, read = run(dataset0), run(back)
+        assert len(fresh) == len(read) > 0
+        for a, b in zip(fresh, read):
+            assert a.grasp_type_id == b.grasp_type_id
+            assert abs(a.antipodal_score - b.antipodal_score) < 1e-6
+            assert np.max(np.abs(a.pose.rotation - b.pose.rotation)) < 1e-6
+            assert np.max(np.abs(a.pose.translation - b.pose.translation)) < 1e-6
+
+
+def test_detect_on_empty_scene(tmp_path, scene0, hand3, bank0):
+    empty = scene0
+    while empty.instances:
+        empty = empty.without_instance(0)
+    ds = annotate_scene(empty, ANN)
+    assert len(ds) == 0 and ds.grids.shape == (0, 5, 48, 2)
+    assert detect(empty, hand3, bank0, dataset=ds) == []
+    assert detect_baseline(empty, hand3, dataset=ds) == []
+    write_dataset(ds, tmp_path / "empty.bin")
+    assert len(read_dataset(tmp_path / "empty.bin")) == 0
 
 
 def test_baseline_ordering_and_determinism(scene0, dataset0, hand3):
@@ -328,7 +361,7 @@ def test_trials_roundtrip_bitwise(tmp_path, trials0):
         assert got.grasp_type_id == want.grasp_type_id
         assert got.outcome == want.outcome
         assert abs(got.friction - want.friction) < 1e-6
-        assert np.allclose(got.pose.translation, want.pose.translation, atol=1e-6)
+        assert np.allclose(got.pose[:, 3], want.pose[:, 3], atol=1e-6)
     write_trials(back, ANN.grid, tmp_path / "trials2.bin")
     assert path.read_bytes() == (tmp_path / "trials2.bin").read_bytes()
 
@@ -342,6 +375,41 @@ def test_read_trials_truncated(tmp_path, trials0):
         (tmp_path / "cut.bin").write_bytes(blob[:cut])
         with pytest.raises(PipelineError, match="truncated file"):
             read_trials(ANN.grid, tmp_path / "cut.bin")
+
+
+def test_read_trials_corrupt_count(tmp_path, trials0):
+    write_trials(trials0[:3], ANN.grid, tmp_path / "trials.bin")
+    blob = bytearray((tmp_path / "trials.bin").read_bytes())
+    blob[8:16] = np.uint64(2**62).tobytes()
+    (tmp_path / "bad.bin").write_bytes(bytes(blob))
+    with pytest.raises(PipelineError, match="truncated file"):
+        read_trials(ANN.grid, tmp_path / "bad.bin")
+
+
+def test_trials_golden_layout(tmp_path):
+    """Count, then per trial the 12 float32 frame values (R row-major, then
+    t), the float32 grid, the 12 float32 pose values and <HBf (type id,
+    outcome, friction)."""
+    import struct
+
+    g = CgrGridParams(n_angles=4, n_sections=2, section_depths=(0.01, 0.02))
+    rng = np.random.default_rng(6)
+    trials = [
+        TrialRecord(rng.normal(size=(3, 4)), rng.uniform(0, 0.05, (2, 4, 2)), rng.normal(size=(3, 4)),
+                    type_id, outcome, friction)
+        for type_id, outcome, friction in ((3, 1, 0.25), (0, 0, 0.7))
+    ]
+    write_trials(trials, g, tmp_path / "t.bin")
+    want = b"CGRKTR1\0" + struct.pack("<Q", 2)
+    for t in trials:
+        want += struct.pack("<12f", *t.frame[:, :3].reshape(9), *t.frame[:, 3])
+        want += struct.pack("<16f", *t.grid.reshape(-1))
+        want += struct.pack("<12f", *t.pose[:, :3].reshape(9), *t.pose[:, 3])
+        want += struct.pack("<HBf", t.grasp_type_id, t.outcome, t.friction)
+    assert (tmp_path / "t.bin").read_bytes() == want
+    back = read_trials(g, tmp_path / "t.bin")
+    assert [(t.grasp_type_id, t.outcome) for t in back] == [(3, 1), (0, 0)]
+    assert np.array_equal(back[1].pose, trials[1].pose.astype(np.float32))
 
 
 def test_read_trials_bad_magic(tmp_path):
