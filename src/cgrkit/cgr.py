@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import geometry
 from .geometry import RigidTransform, TriangleMesh, frame_array, rotation_z
 
 CGR_DEFAULT_DEPTHS = (0.005, 0.01, 0.02, 0.03, 0.04)
@@ -122,12 +123,14 @@ def frame_from_row(row: np.ndarray) -> RigidTransform:
     """The transform of a stored float32 [R | t] frame (3, 4). float32
     storage degrades orthogonality, so R is projected back onto SO(3)."""
     row = np.asarray(row, dtype=float)
-    u, _, vt = np.linalg.svd(row[:, :3])
-    R = u @ vt
-    if np.linalg.det(R) < 0:
-        u[:, -1] *= -1
-        R = u @ vt
-    return RigidTransform(R, row[:, 3])
+    return RigidTransform(_project_so3(row[:, :3]), row[:, 3])
+
+
+def _project_so3(R: np.ndarray) -> np.ndarray:
+    """The nearest rotations to matrices (..., 3, 3), by SVD."""
+    u, _, vt = np.linalg.svd(R)
+    u[..., -1] *= np.where(np.linalg.det(u @ vt) < 0, -1.0, 1.0)[..., None]
+    return u @ vt
 
 
 def record_dtype(params: CgrGridParams, tail: list) -> np.dtype:
@@ -151,25 +154,29 @@ def compute_cgrs(scene_mesh: TriangleMesh, frames, params: CgrGridParams | None 
 
 
 def cgr_grids(scene_mesh: TriangleMesh, frames: np.ndarray, params: CgrGridParams) -> np.ndarray:
-    """(K, M, N, 2) grids of K [R | t] frames (K, 3, 4) against one mesh,
-    all rays cast in one batch. Per frame, ray (j, i) starts at depth j on
-    the frame's z-axis and points along its in-plane angle i."""
-    k, m, n = len(frames), params.n_sections, params.n_angles
-    R = frames[:, :, :3]
+    """(K, M, N, 2) grids of K [R | t] frames (K, 3, 4) against one mesh.
+    Per frame, ray (j, i) starts at depth j on the frame's z-axis and points
+    along its in-plane angle i. Rays are built and cast for whole frames of
+    about geometry._RAY_CHUNK rays at a time, so memory stays bounded."""
+    m, n = params.n_sections, params.n_angles
     dirs_local = np.column_stack([np.cos(params.alphas), np.sin(params.alphas), np.zeros(n)])
-    dirs = np.broadcast_to((dirs_local @ R.transpose(0, 2, 1))[:, None], (k, m, n, 3)).reshape(-1, 3)
     depths = np.asarray(params.section_depths)[None, :, None]
-    origins = frames[:, None, :, 3] + depths * R[:, None, :, 2]  # (K, M, 3)
-    origins = np.broadcast_to(origins[:, :, None], (k, m, n, 3)).reshape(-1, 3)
-    t, tri = scene_mesh.ray_intersect_batch(origins, dirs, params.d_max)
-    hit = tri >= 0
-    dist = np.where(hit, t, params.d_max)
-    theta = np.full(len(t), params.theta_sentinel)
-    if hit.any():
-        normals = scene_mesh.normals[tri[hit]]
-        cosang = np.einsum("ij,ij->i", dirs[hit], normals)
-        theta[hit] = np.arccos(np.clip(cosang, -1.0, 1.0))
-    return np.stack([dist, theta], axis=1).reshape(k, m, n, 2)
+    out = np.empty((len(frames), m, n, 2))
+    step = max(1, geometry._RAY_CHUNK // (m * n))
+    for s in range(0, len(frames), step):
+        chunk = frames[s:s + step]
+        k, R = len(chunk), chunk[:, :, :3]
+        dirs = np.broadcast_to((dirs_local @ R.transpose(0, 2, 1))[:, None], (k, m, n, 3)).reshape(-1, 3)
+        origins = chunk[:, None, :, 3] + depths * R[:, None, :, 2]  # (k, M, 3)
+        origins = np.broadcast_to(origins[:, :, None], (k, m, n, 3)).reshape(-1, 3)
+        t, tri = scene_mesh.ray_intersect_batch(origins, dirs, params.d_max)
+        hit = tri >= 0
+        theta = np.full(len(t), params.theta_sentinel)
+        if hit.any():
+            cosang = np.einsum("ij,ij->i", dirs[hit], scene_mesh.normals[tri[hit]])
+            theta[hit] = np.arccos(np.clip(cosang, -1.0, 1.0))
+        out[s:s + step] = np.stack([np.where(hit, t, params.d_max), theta], axis=1).reshape(k, m, n, 2)
+    return out
 
 
 def _antipodal(grid: np.ndarray, params: CgrGridParams) -> tuple:
@@ -214,16 +221,30 @@ def graspness(cgr: Cgr, theta_threshold: float = 0.3, score_threshold: float = 0
     return low_theta / nm + good_pairs / (nm / 2)
 
 
+def best_grasp_poses(frames: np.ndarray, grids: np.ndarray, params: CgrGridParams) -> tuple:
+    """query_grasp_pose for K frames (K, 3, 4) and grids (K, M, N, 2): the
+    [R | t] poses (K, 3, 4) of each grid's best antipodal entry, its angle
+    and section indices and its score (ties as AntipodalRep.best()). float32
+    frames, as read from a file, are projected onto SO(3) as frame_from_row
+    does."""
+    half = params.n_angles // 2
+    score = _antipodal(grids, params)[2].reshape(len(grids), params.n_sections * half)  # section-major
+    best = score.argmax(axis=1)  # first maximum: lowest section, then lowest angle
+    section, angle = np.divmod(best, half)
+    f = np.asarray(frames, dtype=float)
+    R = _project_so3(f[:, :, :3]) if frames.dtype == np.float32 else f[:, :, :3]
+    Rz = np.array([rotation_z(2 * np.pi * i / params.n_angles) for i in range(half)])
+    R_g = R @ Rz[angle]
+    t_g = f[:, :, 3] + np.asarray(params.section_depths)[section, None] * (R_g @ np.array([0.0, 0.0, 1.0]))
+    return frame_array(R_g, t_g), angle, section, score[np.arange(len(score)), best]
+
+
 def query_grasp_pose(cgr: Cgr) -> Pose6D:
     """6-DoF pose of the best antipodal entry: rotate the frame about its own
     z by the winning angle and advance to the winning section depth."""
-    rep = antipodal_rep(cgr)
-    i, j, s = rep.best()
-    if s <= 0.0:
+    frame = frame_array(cgr.frame.rotation, cgr.frame.translation)[None]
+    poses, angle, section, score = best_grasp_poses(frame, cgr.grid[None], cgr.params)
+    if score[0] <= 0.0:
         raise CgrError("no antipodal contact")
-    alpha = 2 * np.pi * i / cgr.params.n_angles
-    Rz = rotation_z(alpha)
-    R_g = cgr.frame.rotation @ Rz
-    z = np.array([0.0, 0.0, 1.0])
-    t_g = cgr.frame.translation + cgr.params.section_depths[j] * (cgr.frame.rotation @ Rz @ z)
-    return Pose6D(R_g, t_g, source_alpha=alpha, source_section=j)
+    alpha = 2 * np.pi * int(angle[0]) / cgr.params.n_angles
+    return Pose6D(poses[0, :, :3], poses[0, :, 3], source_alpha=alpha, source_section=int(section[0]))

@@ -216,7 +216,6 @@ def _cmd_detect(args) -> int:
     config = DetectionConfig(
         top_cgr=int(merged.get("top_cgr", 100)),
         top_candidates=int(merged.get("top_candidates", 200)),
-        decision_threshold=float(merged.get("threshold", 0.9)),
     )
     if merged.get("bank"):
         bank = load_bank(merged["bank"])
@@ -295,8 +294,7 @@ def _build_parser() -> _Parser:
     add("coverage", "train", "test", "preset", "tau", "out")
     add("collect", "scenes", "hand", "count", "out", "resolution", "dirs")
     add("train", "trials", "out", "epochs", "hidden")
-    add("detect", "scene", "hand", "bank", "out", "top_cgr", "top_candidates",
-        "threshold", "resolution", "dirs")
+    add("detect", "scene", "hand", "bank", "out", "top_cgr", "top_candidates", "resolution", "dirs")
     add("eval", "scenes", "hand", "bank", "policy", "friction", "out", "resolution", "dirs")
     return parser
 

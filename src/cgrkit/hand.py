@@ -16,13 +16,7 @@ import numpy as np
 
 from .cgr import Cgr, Pose6D, antipodal_rep, query_grasp_pose
 from .contacts import Contact
-from .geometry import (
-    PointCloud,
-    RigidTransform,
-    TriangleMesh,
-    load_mesh,
-    voxelize_mesh,
-)
+from .geometry import PointCloud, TriangleMesh, frame_array, load_mesh, voxelize_mesh
 
 
 class HandError(ValueError):
@@ -52,8 +46,11 @@ class GraspTypeSpec:
     fingertip_rays: list[FingertipRay]
     collision_mesh: TriangleMesh
     max_close_travel: float
+    # hand-frame basis (closing, approach x closing, approach) as columns
+    basis: np.ndarray = field(init=False, repr=False, compare=False)
     # solid voxel grid of collision_mesh per voxel size, built on first use
     _collision_grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _collision_bounds: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for attr in ("principal_closing_axis", "approach_axis"):
@@ -68,6 +65,11 @@ class GraspTypeSpec:
             raise HandError("need at least 2 fingertip rays")
         if self.max_close_travel <= 0:
             raise HandError("max_close_travel must be positive")
+        a, c = self.approach_axis, self.principal_closing_axis
+        c_perp = c - np.dot(c, a) * a
+        c_perp /= np.linalg.norm(c_perp)
+        self.basis = np.column_stack([c_perp, np.cross(a, c_perp), a])
+        self._collision_bounds = self.collision_mesh.bounds()
 
 
 @dataclass
@@ -181,39 +183,25 @@ def load_hand_spec(path) -> HandSpec:
     return HandSpec(name=hand_name or os.path.basename(path), grasp_types=types)
 
 
+def aligned_poses(anchors: np.ndarray, gt: GraspTypeSpec) -> np.ndarray:
+    """Hand poses (C, 3, 4) of grasp type gt at C antipodal [R | t] poses:
+    the approach axis maps to each pose's z and the principal closing axis
+    to its x; translations unchanged."""
+    return frame_array(anchors[:, :, :3] @ gt.basis.T, anchors[:, :, 3])
+
+
 def align_to_antipodal(antipodal_pose: Pose6D, gt: GraspTypeSpec) -> Pose6D:
-    """Hand pose whose approach axis maps to the antipodal frame's z and
-    whose principal closing axis maps to its x. Translation unchanged."""
-    # hand-frame basis built from the two designated axes
-    a = gt.approach_axis
-    c = gt.principal_closing_axis
-    c_perp = c - np.dot(c, a) * a
-    c_perp /= np.linalg.norm(c_perp)
-    y = np.cross(a, c_perp)
-    B_hand = np.column_stack([c_perp, y, a])  # maps e_x->closing, e_z->approach
-    R = antipodal_pose.rotation @ B_hand.T
-    return Pose6D(
-        R,
-        antipodal_pose.translation.copy(),
-        source_alpha=antipodal_pose.source_alpha,
-        source_section=antipodal_pose.source_section,
-    )
+    """aligned_poses for one pose."""
+    return Pose6D(antipodal_pose.rotation @ gt.basis.T, antipodal_pose.translation.copy(),
+                  antipodal_pose.source_alpha, antipodal_pose.source_section)
 
 
 def candidates_from_cgr(cgr: Cgr, hand: HandSpec) -> list[GraspCandidate]:
     """One candidate per grasp type, all anchored at the CGR's best
     antipodal pose and sharing its score."""
     pose = query_grasp_pose(cgr)  # raises CgrError("no antipodal contact")
-    _, _, score = antipodal_rep(cgr).best()
-    return [
-        GraspCandidate(
-            pose=align_to_antipodal(pose, gt),
-            grasp_type_id=gt.id,
-            source_cgr=cgr,
-            antipodal_score=score,
-        )
-        for gt in hand.grasp_types
-    ]
+    score = antipodal_rep(cgr).best()[2]
+    return [GraspCandidate(align_to_antipodal(pose, gt), gt.id, cgr, score) for gt in hand.grasp_types]
 
 
 def _hand_voxel_grid(gt: GraspTypeSpec, voxel_size: float):
@@ -223,27 +211,42 @@ def _hand_voxel_grid(gt: GraspTypeSpec, voxel_size: float):
     return gt._collision_grids[voxel_size]
 
 
+def hand_scene_collisions(poses: np.ndarray, gt: GraspTypeSpec, scene_cloud: PointCloud,
+                          voxel_size: float = 0.005) -> np.ndarray:
+    """(C,) bool: does any scene point land inside an occupied voxel of the
+    collision mesh of grasp type gt posed at each of C [R | t] poses (C, 3, 4)?
+    The mesh is voxelized once in the hand frame and scene points are mapped
+    into each pose's frame; rigid motion preserves the test."""
+    if voxel_size <= 0:
+        raise HandError("voxel_size must be positive")
+    hits = np.zeros(len(poses), dtype=bool)
+    if len(scene_cloud) == 0 or len(poses) == 0:
+        return hits
+    # RigidTransform.inverse().apply, stacked and coordinate-major (C, 3, P):
+    # each value is the same sum of products, and each coordinate is one
+    # contiguous row for the box test
+    Rt = poses[:, :, :3].transpose(0, 2, 1)
+    local = Rt @ scene_cloud.points.T
+    local += (-Rt) @ poses[:, :, 3:]  # in place: a second (C, 3, P) buffer costs more than the add
+    lo, hi = gt._collision_bounds
+    near = np.ones((len(poses), len(scene_cloud)), dtype=bool)
+    for j in range(3):
+        near &= (local[:, j] >= lo[j] - voxel_size) & (local[:, j] <= hi[j] + voxel_size)
+    c, p = np.nonzero(near)
+    if len(c):
+        hits[c[_hand_voxel_grid(gt, voxel_size).contains_points(local[c, :, p])]] = True
+    return hits
+
+
 def hand_scene_collision(
     candidate: GraspCandidate,
     gt: GraspTypeSpec,
     scene_cloud: PointCloud,
     voxel_size: float = 0.005,
 ) -> bool:
-    """True iff any scene point lands inside an occupied voxel of the posed
-    collision mesh. The mesh is voxelized once in the hand frame and scene
-    points are mapped into that frame; rigid motion preserves the test."""
-    if voxel_size <= 0:
-        raise HandError("voxel_size must be positive")
-    if len(scene_cloud) == 0:
-        return False
-    tf = candidate.pose.as_transform()
-    local = tf.inverse().apply(scene_cloud.points)
-    lo, hi = gt.collision_mesh.bounds()
-    near = np.all((local >= lo - voxel_size) & (local <= hi + voxel_size), axis=1)
-    if not near.any():
-        return False
-    grid = _hand_voxel_grid(gt, voxel_size)
-    return bool(grid.contains_points(local[near]).any())
+    """hand_scene_collisions for one candidate."""
+    pose = frame_array(candidate.pose.rotation, candidate.pose.translation)[None]
+    return bool(hand_scene_collisions(pose, gt, scene_cloud, voxel_size)[0])
 
 
 def fingertip_contacts(

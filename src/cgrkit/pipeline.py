@@ -22,15 +22,16 @@ from .annotation import (
     SceneInstance,
     annotate_scene,
 )
-from .cgr import best_antipodal_scores, record_dtype
+from .cgr import Pose6D, best_antipodal_scores, best_grasp_poses, record_dtype
 from .contacts import ForceClosureParams, force_closure
-from .geometry import PointCloud, RigidTransform, _read_exact, frame_array, rotation_z
+from .geometry import RigidTransform, _read_exact, frame_array, rotation_z
 from .hand import (
     GraspCandidate,
     HandSpec,
-    candidates_from_cgr,
+    aligned_poses,
     fingertip_contacts,
     hand_scene_collision,
+    hand_scene_collisions,
 )
 from .model import DecisionBank, forward
 
@@ -147,14 +148,15 @@ def collect(
     records: list[TrialRecord] = []
     type_counts = {gt.id: 0 for gt in hand.grasp_types}
     per_type = -(-config.target_size // len(hand.grasp_types))  # ceil
-    # pre-extract graspable rows and scene clouds
+    # per scene: the candidates (row, type) of every graspable row, and a scene cloud
     prepared = []
     for scene, ds in annotated_scenes:
         usable = np.flatnonzero(ds.valid & (best_antipodal_scores(ds.grids, ds.params.grid) > 0.0))
-        cloud = scene.surface_cloud(1500, seed=config.seed)
-        prepared.append((scene, ds, usable, cloud))
-    if all(not len(usable) for _, _, usable, _ in prepared):
+        cands = _candidates(ds, usable, hand).reshape(len(usable), len(hand.grasp_types))
+        prepared.append((scene, ds, cands, scene.surface_cloud(1500, seed=config.seed)))
+    if all(not len(cands) for _, _, cands, _ in prepared):
         raise PipelineError("no valid CGR in any scene")
+    no_cgr = collided = 0  # skipped attempts, by reason
     attempts = 0
     max_attempts = config.max_attempts_factor * config.target_size
     while len(records) < config.target_size:
@@ -162,24 +164,27 @@ def collect(
         if attempts > max_attempts:
             raise PipelineError(
                 f"collection stalled: {len(records)}/{config.target_size} after {attempts} attempts"
+                f" (skipped: {no_cgr} no usable CGR, {collided} hand/scene collision)"
             )
-        scene, ds, usable, cloud = prepared[rng.integers(0, len(prepared))]
-        if not len(usable):
+        scene, ds, cands, cloud = prepared[rng.integers(0, len(prepared))]
+        if not len(cands):
+            no_cgr += 1
             continue
-        row = usable[rng.integers(0, len(usable))]
+        row = rng.integers(0, len(cands))
         if config.balance_types:
             open_types = [t for t, c in sorted(type_counts.items()) if c < per_type]
             type_id = open_types[rng.integers(0, len(open_types))]
         else:
             type_id = int(rng.integers(0, len(hand.grasp_types)))
-        candidate = candidates_from_cgr(ds.cgr(row), hand)[type_id]
-        gt = hand.type(type_id)
-        if hand_scene_collision(candidate, gt, cloud, config.collision_voxel):
+        cand = cands[row, type_id]
+        candidate = _grasp_candidate(ds, cand)
+        if hand_scene_collision(candidate, hand.type(type_id), cloud, config.collision_voxel):
+            collided += 1
             continue
         friction = float(rng.uniform(*config.friction_range))
         success, diag = grasp_oracle(candidate, hand, scene, friction)
-        pose = frame_array(candidate.pose.rotation, candidate.pose.translation)
-        records.append(TrialRecord(ds.frames[row], ds.grids[row], pose, type_id, int(success), friction, diag))
+        records.append(TrialRecord(ds.frames[cand["row"]], ds.grids[cand["row"]], cand["pose"].copy(), type_id,
+                                   int(success), friction, diag))
         type_counts[type_id] += 1
     return records
 
@@ -192,7 +197,6 @@ def collect(
 class DetectionConfig:
     top_cgr: int = 100
     top_candidates: int = 200
-    decision_threshold: float = 0.9
     collision_voxel: float = 0.005
     scene_cloud_points: int = 1500
 
@@ -209,44 +213,49 @@ def _ranked_cgrs(dataset: CgrDataset, k: int) -> np.ndarray:
     return rows[np.argsort(-scores[rows], kind="stable")[:k]]
 
 
-def _expand_candidates(dataset: CgrDataset, hand: HandSpec, k: int) -> list[GraspCandidate]:
-    candidates = []
-    for row in _ranked_cgrs(dataset, k):
-        for c in candidates_from_cgr(dataset.cgr(row), hand):
-            c.instance_index = int(dataset.instance[row])
-            candidates.append(c)
-    return candidates
+# one grasp candidate: its dataset row, grasp type, the winning antipodal
+# entry (angle and section indices, score) and the aligned hand pose [R | t]
+_CANDIDATE = np.dtype([("row", np.intp), ("type", np.intp), ("angle", np.intp), ("section", np.intp),
+                       ("score", float), ("pose", float, (3, 4))])
 
 
-def _batch_decide(bank: DecisionBank, candidates: list[GraspCandidate]) -> None:
-    """Score candidates in per-type batches (single inference pass each)."""
-    by_type: dict = {}
-    for i, c in enumerate(candidates):
-        by_type.setdefault(c.grasp_type_id, []).append(i)
-    for type_id, idxs in by_type.items():
-        model = bank.models.get(type_id)
-        if model is None:
-            raise PipelineError(f"decision bank missing grasp type {type_id}")
-        feats = np.stack([candidates[i].source_cgr.flatten() for i in idxs])
-        probs = forward(model, feats, training=False)
-        for i, p in zip(idxs, probs):
-            candidates[i].decision_score = float(p)
+def _candidates(dataset: CgrDataset, rows: np.ndarray, hand: HandSpec) -> np.ndarray:
+    """One candidate per row and grasp type, row-major, all of a row's
+    types anchored at its best antipodal pose."""
+    anchors, angle, section, score = best_grasp_poses(dataset.frames[rows], dataset.grids[rows], dataset.params.grid)
+    out = np.zeros((len(rows), len(hand.grasp_types)), _CANDIDATE)
+    out["type"] = [gt.id for gt in hand.grasp_types]
+    for name, value in (("row", rows), ("angle", angle), ("section", section), ("score", score)):
+        out[name] = value[:, None]
+    for gt in hand.grasp_types:
+        out["pose"][:, gt.id] = aligned_poses(anchors, gt)
+    return out.reshape(-1)
 
 
-def _collision_filter_sorted(
-    ordered: list[GraspCandidate],
-    hand: HandSpec,
-    cloud: PointCloud,
-    voxel: float,
-    max_results: int | None,
-) -> list[GraspCandidate]:
-    out = []
-    for c in ordered:
-        if not hand_scene_collision(c, hand.type(c.grasp_type_id), cloud, voxel):
-            out.append(c)
-            if max_results is not None and len(out) >= max_results:
-                break
-    return out
+def _expand_candidates(dataset: CgrDataset, hand: HandSpec, k: int) -> np.ndarray:
+    """The candidates of the k best-ranked rows."""
+    return _candidates(dataset, _ranked_cgrs(dataset, k), hand)
+
+
+def _grasp_candidate(dataset: CgrDataset, cand, decision_score: float | None = None) -> GraspCandidate:
+    """The GraspCandidate of one candidate row."""
+    alpha = 2 * np.pi * int(cand["angle"]) / dataset.params.grid.n_angles
+    pose = Pose6D(cand["pose"][:, :3], cand["pose"][:, 3], alpha, int(cand["section"]))
+    return GraspCandidate(pose, int(cand["type"]), dataset.cgr(cand["row"]), float(cand["score"]),
+                          decision_score, int(dataset.instance[cand["row"]]))
+
+
+def _collision_free(dataset: CgrDataset, shortlist: np.ndarray, hand: HandSpec, scene: Scene, config: DetectionConfig,
+                    max_results: int | None, decision: np.ndarray | None = None) -> list[GraspCandidate]:
+    """The first max_results collision-free candidates of the shortlist, in
+    order; one collision pass per grasp type."""
+    cloud = scene.surface_cloud(config.scene_cloud_points, seed=0)
+    free = np.zeros(len(shortlist), dtype=bool)
+    for gt in hand.grasp_types:
+        of_type = shortlist["type"] == gt.id
+        free[of_type] = ~hand_scene_collisions(shortlist["pose"][of_type], gt, cloud, config.collision_voxel)
+    return [_grasp_candidate(dataset, shortlist[i], None if decision is None else float(decision[i]))
+            for i in np.flatnonzero(free)[:max_results]]
 
 
 def detect(
@@ -262,28 +271,22 @@ def detect(
     """Decision-model pipeline: top-K1 CGRs by antipodal score, one
     candidate per grasp type, top-K2 by decision score, collision filter,
     sorted by decision score (ties: antipodal score, then generation
-    order). Candidates at or above the decision threshold are preferred;
-    when none reach it the remaining survivors are still returned."""
+    order)."""
     config = config or DetectionConfig()
     if dataset is None:
         dataset = annotate_scene(scene, annotation, cache=cache)
-    candidates = _expand_candidates(dataset, hand, config.top_cgr)
-    if not candidates:
+    cands = _expand_candidates(dataset, hand, config.top_cgr)
+    if not len(cands):
         return []
-    _batch_decide(bank, candidates)
-    order = sorted(
-        range(len(candidates)),
-        key=lambda i: (-candidates[i].decision_score, -candidates[i].antipodal_score, i),
-    )
-    shortlist = [candidates[i] for i in order[: config.top_candidates]]
-    above = [c for c in shortlist if c.decision_score >= config.decision_threshold]
-    below = [c for c in shortlist if c.decision_score < config.decision_threshold]
-    cloud = scene.surface_cloud(config.scene_cloud_points, seed=0)
-    survivors = _collision_filter_sorted(above, hand, cloud, config.collision_voxel, max_results)
-    if max_results is None or len(survivors) < max_results:
-        remaining = None if max_results is None else max_results - len(survivors)
-        survivors += _collision_filter_sorted(below, hand, cloud, config.collision_voxel, remaining)
-    return survivors
+    decision = np.empty(len(cands))
+    for gt in hand.grasp_types:
+        model = bank.models.get(gt.id)
+        if model is None:
+            raise PipelineError(f"decision bank missing grasp type {gt.id}")
+        of_type = cands["type"] == gt.id
+        decision[of_type] = forward(model, dataset.grids[cands["row"][of_type]].reshape(of_type.sum(), -1))
+    order = np.lexsort((-cands["score"], -decision))[: config.top_candidates]
+    return _collision_free(dataset, cands[order], hand, scene, config, max_results, decision[order])
 
 
 def detect_baseline(
@@ -302,18 +305,12 @@ def detect_baseline(
     config = config or DetectionConfig()
     if dataset is None:
         dataset = annotate_scene(scene, annotation, cache=cache)
-    candidates = _expand_candidates(dataset, hand, config.top_cgr)
-    if not candidates:
+    cands = _expand_candidates(dataset, hand, config.top_cgr)
+    if not len(cands):
         return []
-    rng = np.random.default_rng(seed)
-    jitter = rng.random(len(candidates))
-    order = sorted(
-        range(len(candidates)),
-        key=lambda i: (-candidates[i].antipodal_score, jitter[i]),
-    )
-    shortlist = [candidates[i] for i in order[: config.top_candidates]]
-    cloud = scene.surface_cloud(config.scene_cloud_points, seed=0)
-    return _collision_filter_sorted(shortlist, hand, cloud, config.collision_voxel, max_results)
+    jitter = np.random.default_rng(seed).random(len(cands))
+    order = np.lexsort((jitter, -cands["score"]))[: config.top_candidates]
+    return _collision_free(dataset, cands[order], hand, scene, config, max_results)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 
 from cgrkit import bundled_hand_path
 from cgrkit.annotation import Scene, SceneInstance
+from cgrkit.cgr import antipodal_rep
 from cgrkit.geometry import (
     RigidTransform,
     make_box,
@@ -10,7 +11,7 @@ from cgrkit.geometry import (
     make_icosphere,
     rotation_z,
 )
-from cgrkit.hand import load_hand_spec
+from cgrkit.hand import GraspTypeSpec, HandSpec, _hand_voxel_grid, load_hand_spec
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -24,6 +25,43 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
 
 def random_transform(rng: np.random.Generator, t_scale: float = 0.3) -> RigidTransform:
     return RigidTransform(random_rotation(rng), rng.uniform(-t_scale, t_scale, 3))
+
+
+# ---------------------------------------------------------------------------
+# Per-object references for the batched candidate path: one CGR, one pose,
+# one candidate at a time, with the arithmetic of the single-object code.
+
+
+def reference_grasp_pose(cgr):
+    """(R, t, angle index, section index, score) of one CGR's best
+    antipodal entry: the frame turned about its z by the winning angle and
+    advanced along it to the winning section."""
+    i, j, score = antipodal_rep(cgr).best()
+    Rz = rotation_z(2 * np.pi * i / cgr.params.n_angles)
+    R = cgr.frame.rotation @ Rz
+    t = cgr.frame.translation + cgr.params.section_depths[j] * (cgr.frame.rotation @ Rz @ np.array([0.0, 0.0, 1.0]))
+    return R, t, i, j, score
+
+
+def reference_alignment(R, gt):
+    """Hand rotation of grasp type gt at antipodal rotation R: approach
+    axis onto R's z, the closing axis (made orthogonal to it) onto R's x."""
+    a, c = gt.approach_axis, gt.principal_closing_axis
+    c_perp = c - np.dot(c, a) * a
+    c_perp /= np.linalg.norm(c_perp)
+    return R @ np.column_stack([c_perp, np.cross(a, c_perp), a]).T
+
+
+def reference_collision(R, t, gt, points, voxel_size):
+    """Does any point land in the solid palm of gt posed at (R, t)?"""
+    if len(points) == 0:
+        return False
+    local = RigidTransform(R, t).inverse().apply(points)
+    lo, hi = gt.collision_mesh.bounds()
+    near = np.all((local >= lo - voxel_size) & (local <= hi + voxel_size), axis=1)
+    if not near.any():
+        return False
+    return bool(_hand_voxel_grid(gt, voxel_size).contains_points(local[near]).any())
 
 
 @pytest.fixture(scope="session")
@@ -56,6 +94,18 @@ def plates():
 @pytest.fixture(scope="session")
 def hand3():
     return load_hand_spec(bundled_hand_path("archetype3"))
+
+
+@pytest.fixture(scope="session")
+def oblique_hand(hand3):
+    """hand3 with every type's axes tilted off the coordinate axes, so that
+    aligning a pose is a matmul with rounding in every entry."""
+    tilt = np.array([0.3, -0.2, 0.1])
+    return HandSpec("oblique", [
+        GraspTypeSpec(gt.id, gt.name, gt.principal_closing_axis + tilt, gt.approach_axis - tilt[::-1],
+                      gt.fingertip_rays, gt.collision_mesh, gt.max_close_travel)
+        for gt in hand3.grasp_types
+    ])
 
 
 def simple_scene(meshes=None, positions=None) -> Scene:

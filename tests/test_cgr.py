@@ -6,6 +6,8 @@ from cgrkit.cgr import (
     CgrError,
     CgrGridParams,
     antipodal_rep,
+    best_grasp_poses,
+    cgr_grids,
     compute_cgr,
     compute_cgrs,
     frame_from_row,
@@ -13,9 +15,10 @@ from cgrkit.cgr import (
     query_grasp_pose,
     record_dtype,
 )
-from cgrkit.geometry import RigidTransform, rotation_z
+from cgrkit import geometry
+from cgrkit.geometry import RigidTransform, frame_array, rotation_z
 
-from conftest import random_transform
+from conftest import reference_grasp_pose, random_transform
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +156,21 @@ def test_compute_cgrs_matches_single(cube, slab):
     for frame, cgr in zip(frames, batch):
         single = compute_cgr(cube, frame)
         assert np.array_equal(cgr.grid, single.grid)
+
+
+def test_cgr_grids_chunked_equals_default(cube, monkeypatch):
+    """Frames are cast a chunk at a time; a chunk of three frames gives the
+    same grids, bit for bit."""
+    rng = np.random.default_rng(12)
+    p = CgrGridParams()
+    frames = np.array([frame_array(tf.rotation, tf.translation)
+                       for tf in (random_transform(rng, t_scale=0.03) for _ in range(20))])
+    whole = cgr_grids(cube, frames, p)
+    assert whole.shape == (20, p.n_sections, p.n_angles, 2)
+    assert (whole[..., 0] < p.d_max).any() and (whole[..., 0] == p.d_max).any()
+    monkeypatch.setattr(geometry, "_RAY_CHUNK", 3 * p.n_sections * p.n_angles)
+    assert np.array_equal(cgr_grids(cube, frames, p), whole)
+    assert cgr_grids(cube, frames[:0], p).shape == (0, p.n_sections, p.n_angles, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +341,56 @@ def test_query_pose_formula():
     assert np.allclose(pose.translation, t_expect, atol=1e-12)
     assert pose.source_section == j_win
     assert abs(pose.source_alpha - alpha) < 1e-12
+
+
+def _tie_grids(rng, p, count):
+    """Grids whose antipodal scores tie often: hits with normal angles from
+    a set of three, some rows all equal, some all missed."""
+    d = np.where(rng.random((count, p.n_sections, p.n_angles)) < 0.8, 0.01, p.d_max)
+    th = rng.choice([0.0, 0.3, 0.6], size=d.shape)
+    d[:3], th[:3] = 0.01, 0.3  # every entry ties across sections and angles
+    d[3] = p.d_max  # no contact: score 0 everywhere
+    return np.stack([d, np.where(d < p.d_max, th, p.theta_sentinel)], axis=3)
+
+
+def _svd_frame(row):
+    """One float32 row's transform, projected onto SO(3) one matrix at a time."""
+    row = np.asarray(row, dtype=float)
+    u, _, vt = np.linalg.svd(row[:, :3])
+    R = u @ vt
+    if np.linalg.det(R) < 0:
+        u[:, -1] *= -1
+        R = u @ vt
+    return RigidTransform(R, row[:, 3])
+
+
+def test_best_grasp_poses_match_per_cgr():
+    """The batched pose query equals the per-CGR path bit for bit, ties and
+    float32 frames (as a file holds them) included."""
+    rng = np.random.default_rng(11)
+    p = CgrGridParams()
+    grids = _tie_grids(rng, p, 60)
+    frames = np.array([frame_array(tf.rotation, tf.translation) for tf in (random_transform(rng) for _ in range(60))])
+    stored32 = frames.astype(np.float32)
+    stored32[::7, 2] *= -1  # reflections project with a flipped singular vector
+    for stored in (frames, stored32):
+        poses, angle, section, score = best_grasp_poses(stored, grids, p)
+        for k in range(len(grids)):
+            if stored.dtype == np.float32:
+                frame = _svd_frame(stored[k])
+                assert np.array_equal(frame_from_row(stored[k]).rotation, frame.rotation)
+            else:
+                frame = RigidTransform(stored[k, :, :3], stored[k, :, 3])
+            cgr = Cgr(frame, grids[k], p)
+            R, t, i, j, s = reference_grasp_pose(cgr)
+            assert (angle[k], section[k], score[k]) == (i, j, s)
+            assert np.array_equal(poses[k, :, :3], R) and np.array_equal(poses[k, :, 3], t)
+            if s > 0:
+                pose = query_grasp_pose(cgr)
+                assert np.array_equal(pose.rotation, R) and np.array_equal(pose.translation, t)
+                assert (pose.source_alpha, pose.source_section) == (2 * np.pi * i / p.n_angles, j)
+    # a full tie goes to the first entry; no contact scores 0
+    assert (angle[0], section[0], score[3]) == (0, 0, 0.0)
 
 
 def test_query_pose_raises_without_contact(cube):

@@ -149,6 +149,14 @@ def test_collect_train_detect_eval_chain(work, capsys):
         # pose rotation column sanity
         R = np.array([[float(row[f"r{i}{j}"]) for j in range(3)] for i in range(3)])
         assert np.allclose(R @ R.T, np.eye(3), atol=1e-5)
+    # the removed decision threshold: a config key is ignored, the flag is unknown
+    cfg = work / "detect.cfg"
+    cfg.write_text("threshold 0.95\n")
+    again = ["detect", "--scene", str(work / "two.scene"), "--hand", "archetype3", "--bank", str(bank_path),
+             "--top_cgr", "20", "--out", str(work / "again.csv")] + FAST
+    assert cli(again + ["--config", str(cfg)]) == 0
+    assert (work / "again.csv").read_text() == grasps_path.read_text()
+    assert cli(again + ["--threshold", "0.95"]) == 1
 
     # the baseline leaves the decision column empty
     base_path = work / "grasps_base.csv"

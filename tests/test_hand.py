@@ -7,6 +7,7 @@ from cgrkit.geometry import (
     PointCloud,
     RigidTransform,
     TriangleMesh,
+    frame_array,
     make_box,
     merge_meshes,
     rotation_z,
@@ -18,14 +19,17 @@ from cgrkit.hand import (
     GraspTypeSpec,
     HandError,
     HandSpec,
+    _hand_voxel_grid,
     align_to_antipodal,
+    aligned_poses,
     candidates_from_cgr,
     fingertip_contacts,
     hand_scene_collision,
+    hand_scene_collisions,
     load_hand_spec,
 )
 
-from conftest import random_transform
+from conftest import random_rotation, random_transform, reference_alignment, reference_collision
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +137,18 @@ def test_align_to_antipodal_axis_mapping(hand3):
             assert np.allclose(aligned.translation, pose.translation)
 
 
+def test_aligned_poses_match_per_pose(hand3, oblique_hand):
+    rng = np.random.default_rng(2)
+    anchors = np.array([frame_array(tf.rotation, tf.translation) for tf in (random_transform(rng) for _ in range(40))])
+    for gt in hand3.grasp_types + oblique_hand.grasp_types:
+        batch = aligned_poses(anchors, gt)
+        for anchor, pose in zip(anchors, batch):
+            single = align_to_antipodal(Pose6D(anchor[:, :3].copy(), anchor[:, 3]), gt)
+            assert np.array_equal(pose[:, :3], reference_alignment(anchor[:, :3].copy(), gt))
+            assert np.array_equal(pose[:, :3], single.rotation)
+            assert np.array_equal(pose[:, 3], anchor[:, 3]) and np.array_equal(single.translation, anchor[:, 3])
+
+
 def test_candidates_from_cgr(slab, hand3):
     cgr = compute_cgr(slab, RigidTransform(rotation_z(0.06), np.zeros(3)))
     candidates = candidates_from_cgr(cgr, hand3)
@@ -197,6 +213,32 @@ def test_collision_grid_belongs_to_its_spec(hand3):
         answers.append(hand_scene_collision(cand, gt, probe, 0.005))
         del gt, mesh
     assert answers == [True, False] * 3
+
+
+def test_batched_collision_matches_per_pose(hand3):
+    """One batched pass equals the per-pose check on random poses, on
+    points lying exactly on voxel faces and on an empty cloud."""
+    rng = np.random.default_rng(3)
+    voxel = 0.005
+    for gt in hand3.grasp_types:
+        lo, hi = gt.collision_mesh.bounds()
+        grid = _hand_voxel_grid(gt, voxel)
+        # face points: every corner of the voxel lattice around the palm
+        axes = [grid.origin[a] + voxel * np.arange(grid.offset[a] - 1, grid.offset[a] + grid.mask.shape[a] + 2)
+                for a in range(3)]
+        faces = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        scattered = rng.uniform(lo - 0.03, hi + 0.03, (1500, 3))
+        # exact poses keep face points on the faces; random ones move them
+        exact = [frame_array(np.eye(3), np.zeros(3)), frame_array(np.eye(3)[[1, 2, 0]], [voxel, 0.0, -2 * voxel]),
+                 frame_array(np.diag([-1.0, -1.0, 1.0]), np.zeros(3))]
+        moved = [frame_array(random_rotation(rng), rng.uniform(-0.02, 0.02, 3)) for _ in range(40)]
+        poses = np.array(exact + moved)
+        for points in (faces, scattered, np.zeros((0, 3))):
+            got = hand_scene_collisions(poses, gt, PointCloud(points), voxel)
+            want = [reference_collision(p[:, :3].copy(), p[:, 3], gt, points, voxel) for p in poses]
+            assert got.tolist() == want
+            assert got.any() == (len(points) > 0) and not got[3:].all()
+        assert hand_scene_collisions(poses[:0], gt, PointCloud(faces), voxel).shape == (0,)
 
 
 def test_collision_equivariant_under_pose(hand3):

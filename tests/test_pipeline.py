@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 
 from cgrkit import pipeline
 from cgrkit.annotation import AnnotationParams, annotate_scene, read_dataset, write_dataset
-from cgrkit.cgr import CgrGridParams, Pose6D, compute_cgr
+from cgrkit.cgr import CgrGridParams, Pose6D, compute_cgr, query_grasp_pose
 from cgrkit.geometry import RigidTransform, make_box, make_cylinder
-from cgrkit.hand import GraspCandidate
-from cgrkit.model import DecisionBank, TrainConfig, train
+from cgrkit.hand import GraspCandidate, align_to_antipodal
+from cgrkit.model import DecisionBank, TrainConfig, forward, train
 from cgrkit.pipeline import (
     CollectionConfig,
     DetectionConfig,
@@ -28,6 +29,8 @@ from cgrkit.pipeline import (
     trials_to_training_data,
     write_trials,
 )
+
+from conftest import reference_alignment, reference_collision, reference_grasp_pose
 
 ANN = AnnotationParams(
     surface_resolution=0.0125, approach_directions=12, grid=CgrGridParams()
@@ -182,6 +185,20 @@ def test_collect_requires_valid_cgrs(scene0, dataset0, hand3):
         collect(CollectionConfig(target_size=5), [(scene0, empty)], hand3)
 
 
+def test_collect_stall_reports_skip_reasons(scene0, dataset0, hand3, monkeypatch):
+    """Every attempt on the scene without usable CGRs and every colliding
+    pose is counted in the stall error."""
+    empty = replace(dataset0, valid=np.zeros(len(dataset0), bool))
+    monkeypatch.setattr(pipeline, "hand_scene_collision", lambda *args: True)
+    config = CollectionConfig(target_size=2, max_attempts_factor=50)
+    with pytest.raises(PipelineError) as err:
+        collect(config, [(scene0, dataset0), (scene0, empty)], hand3)
+    counts = [int(n) for n in
+              re.fullmatch(r".*after 101 attempts \(skipped: (\d+) no usable CGR, (\d+) hand/scene collision\)",
+                           str(err.value)).groups()]
+    assert sum(counts) == 100 and min(counts) > 0
+
+
 # ---------------------------------------------------------------------------
 # Detection
 
@@ -198,27 +215,91 @@ def test_expand_candidates_count(scene0, dataset0, hand3):
     assert len(candidates) == k * len(hand3.grasp_types)
     for block, row in enumerate(_ranked_cgrs(dataset0, k)):
         chunk = candidates[4 * block : 4 * block + 4]
-        assert [c.grasp_type_id for c in chunk] == [0, 1, 2, 3]
-        # all four share the CGR and its antipodal score, and know its instance
-        assert len({id(c.source_cgr) for c in chunk}) == 1
-        assert [c.instance_index for c in chunk] == [dataset0.instance[row]] * 4
+        assert chunk["type"].tolist() == [0, 1, 2, 3]
+        # all four come from the row, share its antipodal score and anchor
+        assert chunk["row"].tolist() == [row] * 4
+        assert len(set(chunk["score"].tolist())) == 1
+        assert np.all(chunk["pose"][:, :, 3] == chunk["pose"][0, :, 3])
         assert 0 <= dataset0.instance[row] < len(scene0.instances)
+
+
+def test_candidates_match_per_cgr_path(tmp_path, dataset0, hand3, oblique_hand):
+    """Every candidate of the batched path equals the per-CGR path bit for
+    bit, on a fresh dataset and on one read from a file (float32 frames)."""
+    write_dataset(dataset0, tmp_path / "ds.bin")
+    for ds, hand in ((dataset0, hand3), (dataset0, oblique_hand), (read_dataset(tmp_path / "ds.bin"), oblique_hand)):
+        candidates = _expand_candidates(ds, hand, 100)
+        assert len(candidates) == 4 * len(_ranked_cgrs(ds, 100)) > 0
+        for cand in candidates:
+            cgr = ds.cgr(cand["row"])
+            R, t, i, j, score = reference_grasp_pose(cgr)
+            gt = hand.type(cand["type"])
+            single = align_to_antipodal(query_grasp_pose(cgr), gt)
+            assert (cand["angle"], cand["section"], cand["score"]) == (i, j, score)
+            for rotation in (reference_alignment(R, gt), single.rotation):
+                assert np.array_equal(cand["pose"][:, :3], rotation)
+            for translation in (t, single.translation):
+                assert np.array_equal(cand["pose"][:, 3], translation)
+
+
+def _reference_detect(scene, hand, ds, config, max_results, bank=None, seed=0):
+    """detect (with a bank) or detect_baseline (without), one candidate at
+    a time: per-CGR poses, per-type model batches, a sort on Python keys
+    and a per-pose collision check until max_results are free."""
+    cands = []
+    for row in _ranked_cgrs(ds, config.top_cgr):
+        R, t, _, _, score = reference_grasp_pose(ds.cgr(row))
+        cands += [dict(type=gt.id, R=reference_alignment(R, gt), t=t, score=score, row=row) for gt in hand.grasp_types]
+    if bank is not None:
+        for gt in hand.grasp_types:
+            mine = [c for c in cands if c["type"] == gt.id]
+            probs = forward(bank.models[gt.id], np.stack([ds.grids[c["row"]].reshape(-1) for c in mine]))
+            for c, p in zip(mine, probs):
+                c["decision"] = float(p)
+        order = sorted(range(len(cands)), key=lambda i: (-cands[i]["decision"], -cands[i]["score"], i))
+    else:
+        jitter = np.random.default_rng(seed).random(len(cands))
+        order = sorted(range(len(cands)), key=lambda i: (-cands[i]["score"], jitter[i]))
+    points = scene.surface_cloud(config.scene_cloud_points, seed=0).points
+    out = []
+    for c in (cands[i] for i in order[: config.top_candidates]):
+        if not reference_collision(c["R"], c["t"], hand.type(c["type"]), points, config.collision_voxel):
+            out.append(c)
+            if max_results is not None and len(out) == max_results:
+                break
+    return out
+
+
+@pytest.mark.parametrize("max_results", [1, 3, None])
+def test_detect_matches_per_candidate_reference(scene0, dataset0, hand3, oblique_hand, bank0, max_results):
+    config = DetectionConfig(top_cgr=40, top_candidates=100)
+    # a bank whose every type scores all its candidates alike: ties fall to
+    # the antipodal score, then to generation order
+    flat = DecisionBank({t: m.copy() for t, m in bank0.models.items()})
+    for m in flat.models.values():
+        m.weights[-1][:] = 0.0
+    for hand, bank in ((hand3, bank0), (oblique_hand, bank0), (hand3, flat), (hand3, None), (oblique_hand, None)):
+        if bank is None:
+            got = detect_baseline(scene0, hand, config, dataset=dataset0, seed=5, max_results=max_results)
+        else:
+            got = detect(scene0, hand, bank, config, dataset=dataset0, max_results=max_results)
+        want = _reference_detect(scene0, hand, dataset0, config, max_results, bank, seed=5)
+        assert len(got) == len(want) == (max_results or len(want)) > 0
+        for g, w in zip(got, want):
+            assert g.grasp_type_id == w["type"] and g.antipodal_score == w["score"]
+            assert g.decision_score == w.get("decision")
+            assert np.array_equal(g.pose.rotation, w["R"]) and np.array_equal(g.pose.translation, w["t"])
+            assert g.instance_index == dataset0.instance[w["row"]]
+            assert np.array_equal(g.source_cgr.grid, dataset0.grids[w["row"]])
 
 
 def test_detect_scores_and_ordering(scene0, dataset0, hand3, bank0):
     config = DetectionConfig(top_cgr=20, top_candidates=40)
     out = detect(scene0, hand3, bank0, config, dataset=dataset0)
     assert 0 < len(out) <= 40
-    for c in out:
-        assert c.decision_score is not None
-    above = [c for c in out if c.decision_score >= config.decision_threshold]
-    below = [c for c in out if c.decision_score < config.decision_threshold]
-    # candidates above the threshold come first; each group is sorted by
-    # decision score
-    assert out == above + below
-    for group in (above, below):
-        scores = [c.decision_score for c in group]
-        assert scores == sorted(scores, reverse=True)
+    # one order: decision score descending, ties by antipodal score
+    keys = [(c.decision_score, c.antipodal_score) for c in out]
+    assert keys == sorted(keys, reverse=True)
 
 
 def test_detect_max_results(scene0, dataset0, hand3, bank0):
