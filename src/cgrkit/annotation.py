@@ -24,9 +24,9 @@ from .geometry import (
     bin_points,
     fibonacci_sphere,
     frame_array,
-    frame_from_z,
     load_mesh,
     merge_meshes,
+    point_direction_frames,
     sample_surface_points,
     voxelize_mesh,
 )
@@ -54,6 +54,7 @@ class Scene:
     table_normal: np.ndarray
     meshes: dict  # mesh_id -> TriangleMesh (object frame)
     _merged: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    _cloud: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.table_point = np.asarray(self.table_point, dtype=float).reshape(3)
@@ -67,25 +68,30 @@ class Scene:
         inst = self.instances[index]
         return self.meshes[inst.mesh_id].transformed(inst.pose)
 
+    def _state_key(self) -> list:
+        """The posed scene's identity: each instance's mesh object and pose bytes."""
+        return [(self.meshes[i.mesh_id], i.pose.rotation.tobytes(), i.pose.translation.tobytes())
+                for i in self.instances]
+
     def merged_mesh(self) -> TriangleMesh:
-        """All instances posed in one mesh, rebuilt only when an instance's
-        mesh object or pose bytes change, so each scene state builds one BVH."""
-        key = [(self.meshes[i.mesh_id], i.pose.rotation.tobytes(), i.pose.translation.tobytes())
-               for i in self.instances]
+        """All instances posed in one mesh, rebuilt only when the scene state
+        changes, so each scene state builds one BVH."""
+        key = self._state_key()
         if self._merged[0] != key:
             self._merged = (key, merge_meshes([self.instance_mesh(i) for i in range(len(self.instances))]))
         return self._merged[1]
 
     def surface_cloud(self, count_per_instance: int = 2000, seed: int = 0) -> PointCloud:
-        clouds = []
-        for i in range(len(self.instances)):
-            clouds.append(sample_surface_points(self.instance_mesh(i), count_per_instance, seed + i))
-        if not clouds:
-            return PointCloud(np.zeros((0, 3)))
-        return PointCloud(
-            np.vstack([c.points for c in clouds]),
-            np.vstack([c.normals for c in clouds]),
-        )
+        """count_per_instance surface samples of each instance (seed + index),
+        resampled only when the scene state, count or seed changes."""
+        key = (self._state_key(), count_per_instance, seed)
+        if self._cloud[0] != key:
+            clouds = [sample_surface_points(self.instance_mesh(i), count_per_instance, seed + i)
+                      for i in range(len(self.instances))]
+            cloud = (PointCloud(np.vstack([c.points for c in clouds]), np.vstack([c.normals for c in clouds]))
+                     if clouds else PointCloud(np.zeros((0, 3))))
+            self._cloud = (key, cloud)
+        return self._cloud[1]
 
     def without_instance(self, index: int) -> "Scene":
         rest = [inst for i, inst in enumerate(self.instances) if i != index]
@@ -197,9 +203,6 @@ class CgrDataset:
         return [CgrRecord(self.cgr(k), int(s), bool(v), int(i))
                 for k, (s, v, i) in enumerate(zip(self.scene_id, self.valid, self.instance))]
 
-    def valid_records(self) -> list[CgrRecord]:
-        return [r for r in self.records if r.valid]
-
 
 def surface_voxel_points(mesh: TriangleMesh, resolution: float, samples_per_area: int = 200_000) -> np.ndarray:
     """One representative surface point per occupied surface voxel: the mean
@@ -226,17 +229,16 @@ def candidate_frames(obj: TriangleMesh, params: AnnotationParams, seed: int = 0)
     crossed with a deterministic spiral of approach directions (frame
     z-axis), point-major."""
     points = surface_voxel_points(obj, params.surface_resolution)
-    rotations = np.array([frame_from_z(d) for d in fibonacci_sphere(params.approach_directions)])
-    return frame_array(np.tile(rotations, (len(points), 1, 1)), np.repeat(points, len(rotations), axis=0))
+    return point_direction_frames(points, fibonacci_sphere(params.approach_directions))
 
 
 def _approach_collisions(frames: np.ndarray, scene: Scene, radius: float, length: float,
-                         scene_points: np.ndarray, clearance: float = 0.0) -> np.ndarray:
-    """approach_collision_filter for each of K frames (K, 3, 4); the point
-    test runs in chunks of about _FILTER_CHUNK (frame, point) pairs."""
-    z = frames[:, :, 2]
-    axis = -z
-    origin = frames[:, :, 3] + clearance * z
+                         scene_points: np.ndarray) -> np.ndarray:
+    """(K,) bool: does the cylinder extending backward (-z) from the origin
+    of each of K frames (K, 3, 4) hit a scene point or the table halfspace?
+    The point test runs in chunks of about _FILTER_CHUNK (frame, point) pairs."""
+    axis = -frames[:, :, 2]
+    origin = frames[:, :, 3]
     n = scene.table_normal
 
     def dot_n(v):  # per row v[k] . n, summed as np.dot sums one vector pair
@@ -259,27 +261,6 @@ def _approach_collisions(frames: np.ndarray, scene: Scene, radius: float, length
         perp = rel[c, p] - along[c, p, None] * axis[rows[c]]
         hits[rows[c[np.einsum("ij,ij->i", perp, perp) <= radius * radius]]] = True
     return hits
-
-
-def approach_collision_filter(
-    frame: RigidTransform,
-    scene: Scene,
-    radius: float,
-    length: float,
-    scene_points: np.ndarray | None = None,
-    ignore_instance: int = -1,
-    clearance: float = 0.0,
-) -> bool:
-    """True iff the cylinder extending backward (-z) from the frame origin
-    hits sampled scene surfaces or the table halfspace."""
-    if radius <= 0 or length <= 0:
-        raise AnnotationError("radius and length must be positive")
-    if scene_points is None:
-        clouds = [sample_surface_points(scene.instance_mesh(i), 2000, seed=1 + i).points
-                  for i in range(len(scene.instances)) if i != ignore_instance]
-        scene_points = np.vstack(clouds) if clouds else np.zeros((0, 3))
-    frames = frame_array(frame.rotation, frame.translation)[None]
-    return bool(_approach_collisions(frames, scene, radius, length, scene_points, clearance)[0])
 
 
 def annotate_scene(

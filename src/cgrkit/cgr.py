@@ -75,11 +75,6 @@ class Cgr:
         """Section-major, (d, theta)-interleaved flattening; length 2*M*N."""
         return self.grid.reshape(-1)
 
-    @staticmethod
-    def unflatten(values: np.ndarray, frame: RigidTransform, params: CgrGridParams) -> "Cgr":
-        grid = np.asarray(values, dtype=float).reshape(params.n_sections, params.n_angles, 2)
-        return Cgr(frame, grid, params)
-
 
 @dataclass
 class AntipodalRep:
@@ -141,16 +136,8 @@ def record_dtype(params: CgrGridParams, tail: list) -> np.dtype:
 
 
 def compute_cgr(scene_mesh: TriangleMesh, frame: RigidTransform, params: CgrGridParams | None = None) -> Cgr:
-    return compute_cgrs(scene_mesh, [frame], params)[0]
-
-
-def compute_cgrs(scene_mesh: TriangleMesh, frames, params: CgrGridParams | None = None) -> list[Cgr]:
-    """Batched CGR computation for many frames against one mesh."""
     params = params or CgrGridParams()
-    if not frames:
-        return []
-    stacked = frame_array(np.array([f.rotation for f in frames]), np.array([f.translation for f in frames]))
-    return [Cgr(f, g, params) for f, g in zip(frames, cgr_grids(scene_mesh, stacked, params))]
+    return Cgr(frame, cgr_grids(scene_mesh, frame_array(frame.rotation, frame.translation)[None], params)[0], params)
 
 
 def cgr_grids(scene_mesh: TriangleMesh, frames: np.ndarray, params: CgrGridParams) -> np.ndarray:

@@ -15,6 +15,11 @@ import numpy as np
 from .geometry import orthonormal_tangents
 
 
+# phase-1 simplex pivots allowed per tableau column; Bland's rule cannot
+# cycle, so reaching the cap means the tableau has gone numerically wrong
+_PIVOT_CAP = 200
+
+
 class ContactError(ValueError):
     pass
 
@@ -98,8 +103,7 @@ def _phase1_simplex(A: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
     # objective row: minimize sum of artificials (reduced costs)
     T[m, :n] = -A.sum(axis=0)
     T[m, -1] = -b.sum()
-    max_iter = 200 * (n + m)
-    for _ in range(max_iter):
+    for _ in range(_PIVOT_CAP * (n + m)):
         # Bland: entering = lowest-index column with negative reduced cost
         enter = -1
         for j in range(n + m):
@@ -110,8 +114,6 @@ def _phase1_simplex(A: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
             break
         col = T[:m, enter]
         ratios = np.where(col > tol, T[:m, -1] / np.where(col > tol, col, 1.0), np.inf)
-        if not np.isfinite(ratios).any():
-            break  # unbounded (cannot happen in phase 1)
         best = np.inf
         leave = -1
         for r in range(m):
@@ -122,14 +124,16 @@ def _phase1_simplex(A: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
             ):
                 best = ratios[r]
                 leave = r
-        if leave < 0:
-            break
+        if leave < 0:  # no finite ratio: unbounded, which phase 1 cannot be
+            raise ContactError(f"phase-1 simplex: column {enter} is unbounded")
         piv = T[leave, enter]
         T[leave] /= piv
         for r in range(m + 1):
             if r != leave and abs(T[r, enter]) > 0:
                 T[r] -= T[r, enter] * T[leave]
         basis[leave] = enter
+    else:
+        raise ContactError(f"phase-1 simplex: no optimum after {_PIVOT_CAP * (n + m)} pivots")
     objective = -T[m, -1]
     return objective < 1e-7
 

@@ -17,13 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .cgr import CgrGridParams, antipodal_rep, compute_cgrs
+from .cgr import CgrGridParams, _antipodal, cgr_grids
 from .geometry import (
     RigidTransform,
     TriangleMesh,
     bin_points,
     fibonacci_sphere,
-    frame_from_z,
+    point_direction_frames,
     rotation_z,
     sample_surface_points,
 )
@@ -123,39 +123,30 @@ def sample_local_geometries(
         section_depths=(bz / 2.0,),
         d_max=float(np.linalg.norm(half)),
     )
-    frames = [
-        RigidTransform(frame_from_z(d), p) for p in grasp_points for d in dirs
-    ]
-    cgrs = compute_cgrs(obj, frames, grid)
-    patches: list[LocalGeometry] = []
-    angle_stride = grid.n_angles // 2 // params.inplane_angles
+    frames = point_direction_frames(grasp_points, dirs)
+    angle_idx = np.arange(params.inplane_angles) * (grid.n_angles // 2 // params.inplane_angles)
+    score = _antipodal(cgr_grids(obj, frames, grid), grid)[2][:, 0, angle_idx]
+    k, a = np.nonzero(score > 0.0)  # kept (frame, angle) pairs, frame-major
+    Rz = np.array([rotation_z(2 * np.pi * i / grid.n_angles) for i in angle_idx])
+    R_box = frames[k, :, :3] @ Rz[a]
     dir_stride = MASTER_DIRECTIONS // params.approach_directions
     master_angle_stride = MASTER_INPLANE // params.inplane_angles
-    for k, cgr in enumerate(cgrs):
-        point_idx, dir_idx = divmod(k, len(dirs))
-        rep = antipodal_rep(cgr)
-        for a in range(params.inplane_angles):
-            idx = a * angle_stride
-            if rep.score[0, idx] <= 0.0:
-                continue
-            alpha = 2 * np.pi * idx / grid.n_angles
-            R_box = cgr.frame.rotation @ rotation_z(alpha)
-            box_tf = RigidTransform(R_box, cgr.frame.translation)
-            local = box_tf.inverse().apply(surface.points)
-            inside = np.all(np.abs(local - [0.0, 0.0, half[2]]) <= half, axis=1)
-            pts = local[inside]
-            if len(pts) == 0:
-                continue
-            # per-patch rng keyed on master-grid indices: the same pose
-            # yields an identical patch under any preset, so denser presets
-            # produce strict supersets of sparser ones
-            rng = np.random.default_rng(
-                (seed, point_idx, dir_idx * dir_stride, a * master_angle_stride)
-            )
-            sel = rng.integers(0, len(pts), size=params.points_per_patch)
-            patches.append(
-                LocalGeometry(pts[sel], object_id, box_tf)
-            )
+    patches: list[LocalGeometry] = []
+    for j in range(len(k)):
+        point_idx, dir_idx = divmod(int(k[j]), len(dirs))
+        R, t = R_box[j], grasp_points[point_idx]
+        # RigidTransform(R, t).inverse().apply, term for term
+        local = surface.points @ R + -R.T @ t
+        inside = np.all(np.abs(local - [0.0, 0.0, half[2]]) <= half, axis=1)
+        pts = local[inside]
+        if len(pts) == 0:
+            continue
+        # per-patch rng keyed on master-grid indices: the same pose
+        # yields an identical patch under any preset, so denser presets
+        # produce strict supersets of sparser ones
+        rng = np.random.default_rng((seed, point_idx, dir_idx * dir_stride, int(a[j]) * master_angle_stride))
+        sel = rng.integers(0, len(pts), size=params.points_per_patch)
+        patches.append(LocalGeometry(pts[sel], object_id, RigidTransform(R, t)))
     return patches
 
 

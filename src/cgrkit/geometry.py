@@ -108,6 +108,13 @@ def frame_from_z(z: np.ndarray) -> np.ndarray:
     return np.column_stack([u, v, z])
 
 
+def point_direction_frames(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """[R | t] frames (P * D, 3, 4) at P points crossed with D approach
+    directions (frame_from_z z-axes), point-major."""
+    rotations = np.array([frame_from_z(d) for d in directions])
+    return frame_array(np.tile(rotations, (len(points), 1, 1)), np.repeat(points, len(rotations), axis=0))
+
+
 def fibonacci_sphere(count: int) -> np.ndarray:
     """Deterministic spiral covering of the unit sphere, shape (count, 3)."""
     if count < 1:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cgr import Cgr, Pose6D, antipodal_rep, query_grasp_pose
+from .cgr import Pose6D
 from .contacts import Contact
 from .geometry import PointCloud, TriangleMesh, frame_array, load_mesh, voxelize_mesh
 
@@ -92,7 +92,6 @@ class HandSpec:
 class GraspCandidate:
     pose: Pose6D
     grasp_type_id: int
-    source_cgr: Cgr
     antipodal_score: float
     decision_score: float | None = None
     instance_index: int = -1  # scene instance of the source CGR, when known
@@ -188,20 +187,6 @@ def aligned_poses(anchors: np.ndarray, gt: GraspTypeSpec) -> np.ndarray:
     the approach axis maps to each pose's z and the principal closing axis
     to its x; translations unchanged."""
     return frame_array(anchors[:, :, :3] @ gt.basis.T, anchors[:, :, 3])
-
-
-def align_to_antipodal(antipodal_pose: Pose6D, gt: GraspTypeSpec) -> Pose6D:
-    """aligned_poses for one pose."""
-    return Pose6D(antipodal_pose.rotation @ gt.basis.T, antipodal_pose.translation.copy(),
-                  antipodal_pose.source_alpha, antipodal_pose.source_section)
-
-
-def candidates_from_cgr(cgr: Cgr, hand: HandSpec) -> list[GraspCandidate]:
-    """One candidate per grasp type, all anchored at the CGR's best
-    antipodal pose and sharing its score."""
-    pose = query_grasp_pose(cgr)  # raises CgrError("no antipodal contact")
-    score = antipodal_rep(cgr).best()[2]
-    return [GraspCandidate(align_to_antipodal(pose, gt), gt.id, cgr, score) for gt in hand.grasp_types]
 
 
 def _hand_voxel_grid(gt: GraspTypeSpec, voxel_size: float):

@@ -241,8 +241,8 @@ def _grasp_candidate(dataset: CgrDataset, cand, decision_score: float | None = N
     """The GraspCandidate of one candidate row."""
     alpha = 2 * np.pi * int(cand["angle"]) / dataset.params.grid.n_angles
     pose = Pose6D(cand["pose"][:, :3], cand["pose"][:, 3], alpha, int(cand["section"]))
-    return GraspCandidate(pose, int(cand["type"]), dataset.cgr(cand["row"]), float(cand["score"]),
-                          decision_score, int(dataset.instance[cand["row"]]))
+    return GraspCandidate(pose, int(cand["type"]), float(cand["score"]), decision_score,
+                          int(dataset.instance[cand["row"]]))
 
 
 def _collision_free(dataset: CgrDataset, shortlist: np.ndarray, hand: HandSpec, scene: Scene, config: DetectionConfig,

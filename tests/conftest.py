@@ -3,13 +3,22 @@ import pytest
 
 from cgrkit import bundled_hand_path
 from cgrkit.annotation import Scene, SceneInstance
-from cgrkit.cgr import antipodal_rep
+from cgrkit.cgr import CgrGridParams, antipodal_rep, compute_cgr
+from cgrkit.coverage import (
+    MASTER_DIRECTIONS,
+    MASTER_INPLANE,
+    LocalGeometry,
+    _grasp_points,
+    preset_directions,
+)
 from cgrkit.geometry import (
     RigidTransform,
+    frame_from_z,
     make_box,
     make_cylinder,
     make_icosphere,
     rotation_z,
+    sample_surface_points,
 )
 from cgrkit.hand import GraspTypeSpec, HandSpec, _hand_voxel_grid, load_hand_spec
 
@@ -62,6 +71,39 @@ def reference_collision(R, t, gt, points, voxel_size):
     if not near.any():
         return False
     return bool(_hand_voxel_grid(gt, voxel_size).contains_points(local[near]).any())
+
+
+def reference_patches(obj, params, seed=0, object_id=""):
+    """sample_local_geometries one frame at a time: per grasp point and
+    direction one RigidTransform, one CGR and one AntipodalRep, then per
+    in-plane angle with a positive score one box transform and its crop."""
+    surface = sample_surface_points(obj, params.surface_samples, seed)
+    dirs = preset_directions(params.approach_directions)
+    bx, by, bz = params.box_dims
+    half = np.array([bx / 2.0, by / 2.0, bz / 2.0])
+    grid = CgrGridParams(n_angles=max(4, 2 * params.inplane_angles), n_sections=1,
+                         section_depths=(bz / 2.0,), d_max=float(np.linalg.norm(half)))
+    angle_stride = grid.n_angles // 2 // params.inplane_angles
+    patches = []
+    for point_idx, p in enumerate(_grasp_points(obj, params, seed)):
+        for dir_idx, d in enumerate(dirs):
+            cgr = compute_cgr(obj, RigidTransform(frame_from_z(d), p), grid)
+            rep = antipodal_rep(cgr)
+            for a in range(params.inplane_angles):
+                idx = a * angle_stride
+                if rep.score[0, idx] <= 0.0:
+                    continue
+                R_box = cgr.frame.rotation @ rotation_z(2 * np.pi * idx / grid.n_angles)
+                box_tf = RigidTransform(R_box, cgr.frame.translation)
+                local = box_tf.inverse().apply(surface.points)
+                pts = local[np.all(np.abs(local - [0.0, 0.0, half[2]]) <= half, axis=1)]
+                if len(pts) == 0:
+                    continue
+                rng = np.random.default_rng((seed, point_idx, dir_idx * (MASTER_DIRECTIONS // len(dirs)),
+                                             a * (MASTER_INPLANE // params.inplane_angles)))
+                sel = rng.integers(0, len(pts), size=params.points_per_patch)
+                patches.append(LocalGeometry(pts[sel], object_id, box_tf))
+    return patches
 
 
 @pytest.fixture(scope="session")

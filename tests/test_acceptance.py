@@ -301,8 +301,8 @@ def test_criterion_08_pipeline_structure(scene_a, hand3, report):
     dataset = annotate_scene(scene_a, ann)
     usable = sum(
         1
-        for rec in dataset.valid_records()
-        if antipodal_rep(rec.cgr).best()[2] > 0.0
+        for rec in dataset.records
+        if rec.valid and antipodal_rep(rec.cgr).best()[2] > 0.0
     )
     candidates = _expand_candidates(dataset, hand3, 100)
     ok = (

@@ -8,9 +8,9 @@ from cgrkit.annotation import (
     CgrRecord,
     Scene,
     SceneInstance,
+    _approach_collisions,
     _quat_to_rotation,
     annotate_scene,
-    approach_collision_filter,
     candidate_frames,
     compose_scene,
     read_dataset,
@@ -20,6 +20,8 @@ from cgrkit.annotation import (
 from cgrkit.cgr import CgrGridParams, compute_cgr
 from cgrkit.geometry import (
     RigidTransform,
+    fibonacci_sphere,
+    frame_array,
     frame_from_z,
     make_box,
     rotation_z,
@@ -82,6 +84,21 @@ def test_scene_helpers(box_scene):
     assert len(emptier.instances) == 0
 
 
+def test_surface_cloud_follows_scene_state(box_scene):
+    first = box_scene.surface_cloud(500, seed=4)
+    assert box_scene.surface_cloud(500, seed=4) is first  # one sample per state
+    uncached = simple_scene().surface_cloud(500, seed=4)
+    assert np.array_equal(first.points, uncached.points) and np.array_equal(first.normals, uncached.normals)
+    assert box_scene.surface_cloud(400, seed=4) is not first
+    assert box_scene.surface_cloud(500, seed=5) is not first
+    again = box_scene.surface_cloud(500, seed=4)
+    # re-posed in place: the pose's own translation array changes
+    box_scene.instances[0].pose.translation[0] += 0.1
+    moved = box_scene.surface_cloud(500, seed=4)
+    assert moved is not again
+    assert np.allclose(moved.points, again.points + [0.1, 0.0, 0.0], atol=1e-12)
+
+
 def test_merged_mesh_follows_scene_state(box_scene):
     first = box_scene.merged_mesh()
     assert box_scene.merged_mesh() is first  # one mesh, one BVH per state
@@ -131,33 +148,41 @@ def test_candidate_frames_structure(cube):
     frames = candidate_frames(cube, SMALL)
     pts = surface_voxel_points(cube, SMALL.surface_resolution)
     assert len(frames) == len(pts) * SMALL.approach_directions
-    from cgrkit.geometry import fibonacci_sphere
-
     dirs = fibonacci_sphere(SMALL.approach_directions)
     for k in (0, 5, len(frames) - 1):
         d = dirs[k % SMALL.approach_directions]
         assert np.allclose(frames[k, :, 2], d, atol=1e-12)
+    # point-major: frame k sits at point k // D with direction k % D
+    for k in range(len(frames)):
+        p, d = divmod(k, SMALL.approach_directions)
+        assert np.array_equal(frames[k], frame_array(frame_from_z(dirs[d]), pts[p]))
 
 
 # ---------------------------------------------------------------------------
 # Approach-cylinder filtering
 
 
+def _filter_one(frame, scene, radius, length, points):
+    """_approach_collisions for one RigidTransform frame."""
+    frames = frame_array(frame.rotation, frame.translation)[None]
+    return bool(_approach_collisions(frames, scene, radius, length, points)[0])
+
+
 def test_filter_rejects_table_collision(box_scene):
     # approach from above (frame z pointing down): retreat cylinder goes up
     down = RigidTransform(frame_from_z(np.array([0.0, 0.0, -1.0])), [0, 0, 0.05])
-    assert not approach_collision_filter(down, box_scene, 0.06, 0.25, np.zeros((0, 3)))
+    assert not _filter_one(down, box_scene, 0.06, 0.25, np.zeros((0, 3)))
     # approach from below (frame z up): retreat cylinder passes through the table
     up = RigidTransform(np.eye(3), [0, 0, 0.05])
-    assert approach_collision_filter(up, box_scene, 0.06, 0.25, np.zeros((0, 3)))
+    assert _filter_one(up, box_scene, 0.06, 0.25, np.zeros((0, 3)))
 
 
 def test_filter_rejects_blocking_points(box_scene):
     down = RigidTransform(frame_from_z(np.array([0.0, 0.0, -1.0])), [0, 0, 0.05])
     blocking = np.array([[0.01, 0.0, 0.15]])  # inside the retreat cylinder
-    assert approach_collision_filter(down, box_scene, 0.06, 0.25, blocking)
+    assert _filter_one(down, box_scene, 0.06, 0.25, blocking)
     clear = np.array([[0.2, 0.0, 0.15]])
-    assert not approach_collision_filter(down, box_scene, 0.06, 0.25, clear)
+    assert not _filter_one(down, box_scene, 0.06, 0.25, clear)
 
 
 def _filter_per_frame(frame, scene, radius, length, points):
@@ -204,16 +229,17 @@ def test_filter_batch_matches_per_frame(monkeypatch):
         want = _filter_per_frame(frame, scene, SMALL.cylinder_radius, SMALL.cylinder_length, others)
         assert ds.valid[k] == (not want)
         if k % 97 == 0:
-            assert approach_collision_filter(
+            assert _filter_one(
                 frame, scene, SMALL.cylinder_radius, SMALL.cylinder_length, others
             ) == want
     assert 0 < ds.valid.sum() < len(ds)
 
 
-def test_filter_validates_params(box_scene):
-    down = RigidTransform(frame_from_z(np.array([0.0, 0.0, -1.0])), [0, 0, 0.05])
+def test_filter_validates_params():
     with pytest.raises(AnnotationError):
-        approach_collision_filter(down, box_scene, 0.0, 0.25)
+        AnnotationParams(cylinder_radius=0)
+    with pytest.raises(AnnotationError):
+        AnnotationParams(cylinder_length=0)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +250,7 @@ def test_annotate_scene_structure(box_scene):
     ds = annotate_scene(box_scene, SMALL)
     pts = surface_voxel_points(box_scene.meshes["box"], SMALL.surface_resolution)
     assert len(ds.records) == len(pts) * SMALL.approach_directions
-    valid = ds.valid_records()
-    assert 0 < len(valid) < len(ds.records)
+    assert 0 < ds.valid.sum() < len(ds.records)
     for rec in ds.records[:50]:
         assert rec.scene_id == 0
         assert rec.instance_index == 0
@@ -236,10 +261,10 @@ def test_annotate_world_frame_projection(box_scene):
     ds = annotate_scene(box_scene, SMALL)
     inst = box_scene.instances[0]
     obj = box_scene.meshes["box"]
-    rec = ds.valid_records()[0]
-    obj_frame = inst.pose.inverse().compose(rec.cgr.frame)
+    cgr = ds.cgr(int(np.flatnonzero(ds.valid)[0]))
+    obj_frame = inst.pose.inverse().compose(cgr.frame)
     again = compute_cgr(obj, obj_frame, SMALL.grid)
-    assert np.max(np.abs(again.grid - rec.cgr.grid)) < 1e-9
+    assert np.max(np.abs(again.grid - cgr.grid)) < 1e-9
 
 
 def test_annotate_world_frames_match_compose():
@@ -289,7 +314,7 @@ def test_annotate_invalidates_near_neighbor():
     meshes = {"a": make_box((0.05, 0.05, 0.05)), "b": make_box((0.05, 0.05, 0.05))}
     lone = simple_scene({"a": meshes["a"]}, {"a": (0.0, 0.0)})
     crowded = simple_scene(meshes, {"a": (0.0, 0.0), "b": (0.07, 0.0)})
-    v_lone = len(annotate_scene(lone, SMALL).valid_records())
+    v_lone = int(annotate_scene(lone, SMALL).valid.sum())
     v_crowded = sum(
         1 for r in annotate_scene(crowded, SMALL).records if r.valid and r.instance_index == 0
     )

@@ -106,7 +106,7 @@ def test_annotate_command(work, capsys):
     assert "annotated" in capsys.readouterr().out
     ds = read_dataset(out)
     assert len(ds.records) > 0
-    assert len(ds.valid_records()) > 0
+    assert ds.valid.any()
 
 
 def test_collect_train_detect_eval_chain(work, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from cgrkit import contacts
 from cgrkit.contacts import (
     ClosureResult,
     Contact,
@@ -107,6 +108,21 @@ def test_phase1_simplex_known_cases():
     assert not _phase1_simplex(np.array([[1.0, 1.0]]), np.array([-1.0]))
     # x1 - x1 = 1 (zero row after combination): infeasible
     assert not _phase1_simplex(np.array([[1.0, -1.0], [1.0, -1.0]]), np.array([0.0, 1.0]))
+
+
+def test_phase1_simplex_exits_raise(monkeypatch):
+    """Leaving the pivot loop without an optimal tableau raises instead of
+    judging feasibility from a half-solved one."""
+    # a NaN right-hand side leaves no finite ratio: the unbounded exit
+    with pytest.raises(ContactError, match="unbounded"):
+        _phase1_simplex(np.array([[1.0, 1.0]]), np.array([np.nan]))
+    # three random contacts whose LP needs more than n + m pivots
+    rng = np.random.default_rng(1)
+    grasp = [Contact(p, n) for p, n in zip(0.02 * rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))]
+    assert not force_closure(grasp).feasible
+    monkeypatch.setattr(contacts, "_PIVOT_CAP", 1)
+    with pytest.raises(ContactError, match="no optimum after 31 pivots"):
+        force_closure(grasp)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ from cgrkit.coverage import (
     sparse_params,
     write_coverage_csv,
 )
-from cgrkit.geometry import PointCloud, chamfer_distance, make_box, make_icosphere
+from cgrkit.geometry import PointCloud, chamfer_distance, make_box, make_cylinder, make_icosphere
+
+from conftest import reference_patches
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +91,23 @@ def test_sparse_pool_is_subset_of_dense():
         assert len(dense) > len(sparse) > 0
         dense_keys = {p.points.tobytes() for p in dense}
         assert all(p.points.tobytes() in dense_keys for p in sparse)
+
+
+@pytest.mark.parametrize("preset", [dense_params, sparse_params])
+def test_patches_match_per_frame_reference(preset):
+    """Every patch, its points and its box pose, equals the one-frame-at-a-time
+    reference bit for bit, in the same order."""
+    params = preset(points_per_patch=48, surface_samples=3000, grasp_point_resolution=0.04)
+    shapes = {"boxA": make_box((0.04, 0.05, 0.07)), "cyl": make_cylinder(0.02, 0.06, segments=24),
+              "sph": make_icosphere(0.03, 2)}
+    for oid, mesh in shapes.items():
+        got = sample_local_geometries(mesh, params, seed=2, object_id=oid)
+        want = reference_patches(mesh, params, seed=2, object_id=oid)
+        assert len(got) == len(want) > 0
+        for g, w in zip(got, want):
+            assert np.array_equal(g.points, w.points) and g.source_object == w.source_object == oid
+            assert np.array_equal(g.source_pose.rotation, w.source_pose.rotation)
+            assert np.array_equal(g.source_pose.translation, w.source_pose.translation)
 
 
 def test_too_small_object_yields_no_patches():

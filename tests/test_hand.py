@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cgrkit import bundled_hand_path
-from cgrkit.cgr import CgrGridParams, Cgr, Pose6D, compute_cgr, query_grasp_pose
+from cgrkit.cgr import Pose6D, antipodal_rep, best_grasp_poses, compute_cgr, query_grasp_pose
 from cgrkit.geometry import (
     PointCloud,
     RigidTransform,
@@ -20,9 +20,7 @@ from cgrkit.hand import (
     HandError,
     HandSpec,
     _hand_voxel_grid,
-    align_to_antipodal,
     aligned_poses,
-    candidates_from_cgr,
     fingertip_contacts,
     hand_scene_collision,
     hand_scene_collisions,
@@ -123,18 +121,17 @@ def test_align_to_antipodal_axis_mapping(hand3):
     rng = np.random.default_rng(0)
     for _ in range(20):
         tf = random_transform(rng)
-        pose = Pose6D(tf.rotation, tf.translation)
         for gt in hand3.grasp_types:
-            aligned = align_to_antipodal(pose, gt)
-            R = aligned.rotation
+            aligned = aligned_poses(frame_array(tf.rotation, tf.translation)[None], gt)[0]
+            R = aligned[:, :3]
             # approach axis lands on the antipodal frame's z
-            assert np.allclose(R @ gt.approach_axis, pose.rotation[:, 2], atol=1e-9)
+            assert np.allclose(R @ gt.approach_axis, tf.rotation[:, 2], atol=1e-9)
             # closing axis (component orthogonal to approach) lands on x
             c = gt.principal_closing_axis
             c_perp = c - np.dot(c, gt.approach_axis) * gt.approach_axis
             c_perp /= np.linalg.norm(c_perp)
-            assert np.allclose(R @ c_perp, pose.rotation[:, 0], atol=1e-9)
-            assert np.allclose(aligned.translation, pose.translation)
+            assert np.allclose(R @ c_perp, tf.rotation[:, 0], atol=1e-9)
+            assert np.allclose(aligned[:, 3], tf.translation)
 
 
 def test_aligned_poses_match_per_pose(hand3, oblique_hand):
@@ -143,32 +140,33 @@ def test_aligned_poses_match_per_pose(hand3, oblique_hand):
     for gt in hand3.grasp_types + oblique_hand.grasp_types:
         batch = aligned_poses(anchors, gt)
         for anchor, pose in zip(anchors, batch):
-            single = align_to_antipodal(Pose6D(anchor[:, :3].copy(), anchor[:, 3]), gt)
+            single = aligned_poses(anchor[None].copy(), gt)[0]
             assert np.array_equal(pose[:, :3], reference_alignment(anchor[:, :3].copy(), gt))
-            assert np.array_equal(pose[:, :3], single.rotation)
-            assert np.array_equal(pose[:, 3], anchor[:, 3]) and np.array_equal(single.translation, anchor[:, 3])
+            assert np.array_equal(pose[:, :3], single[:, :3])
+            assert np.array_equal(pose[:, 3], anchor[:, 3]) and np.array_equal(single[:, 3], anchor[:, 3])
 
 
 def test_candidates_from_cgr(slab, hand3):
+    """One CGR's candidates: every grasp type anchored at its best antipodal
+    pose, all sharing that entry's score."""
     cgr = compute_cgr(slab, RigidTransform(rotation_z(0.06), np.zeros(3)))
-    candidates = candidates_from_cgr(cgr, hand3)
-    assert len(candidates) == len(hand3.grasp_types)
-    assert [c.grasp_type_id for c in candidates] == [0, 1, 2, 3]
-    scores = {c.antipodal_score for c in candidates}
-    assert len(scores) == 1  # all types share the CGR's best antipodal score
+    frame = frame_array(cgr.frame.rotation, cgr.frame.translation)[None]
+    anchors, _, _, score = best_grasp_poses(frame, cgr.grid[None], cgr.params)
+    candidates = [aligned_poses(anchors, gt)[0] for gt in hand3.grasp_types]
+    assert len(candidates) == len(hand3.grasp_types) == 4
+    assert score[0] == antipodal_rep(cgr).best()[2] > 0.0
     pose = query_grasp_pose(cgr)
     for c in candidates:
-        assert np.allclose(c.pose.translation, pose.translation, atol=1e-12)
-        assert c.source_cgr is cgr
+        assert np.allclose(c[:, 3], pose.translation, atol=1e-12)
 
 
 def test_candidate_score_validation(slab, hand3):
     cgr = compute_cgr(slab, RigidTransform.identity())
     pose = query_grasp_pose(cgr)
     with pytest.raises(HandError):
-        GraspCandidate(pose, 0, cgr, antipodal_score=1.5)
+        GraspCandidate(pose, 0, antipodal_score=1.5)
     with pytest.raises(HandError):
-        GraspCandidate(pose, 0, cgr, antipodal_score=0.5, decision_score=-0.1)
+        GraspCandidate(pose, 0, antipodal_score=0.5, decision_score=-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +174,8 @@ def test_candidate_score_validation(slab, hand3):
 
 
 def _pinch_candidate(hand3, rotation=None, translation=(0, 0, 0)):
-    p = CgrGridParams()
-    grid = np.zeros((p.n_sections, p.n_angles, 2))
-    grid[:, :, 0] = 0.01
-    cgr = Cgr(RigidTransform.identity(), grid, p)
     pose = Pose6D(rotation if rotation is not None else np.eye(3), np.asarray(translation, float))
-    return GraspCandidate(pose, 0, cgr, antipodal_score=1.0)
+    return GraspCandidate(pose, 0, antipodal_score=1.0)
 
 
 def test_collision_detects_points_in_palm(hand3):

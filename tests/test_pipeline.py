@@ -6,9 +6,9 @@ import pytest
 
 from cgrkit import pipeline
 from cgrkit.annotation import AnnotationParams, annotate_scene, read_dataset, write_dataset
-from cgrkit.cgr import CgrGridParams, Pose6D, compute_cgr, query_grasp_pose
-from cgrkit.geometry import RigidTransform, make_box, make_cylinder
-from cgrkit.hand import GraspCandidate, align_to_antipodal
+from cgrkit.cgr import CgrGridParams, Pose6D, query_grasp_pose
+from cgrkit.geometry import frame_array, make_box, make_cylinder
+from cgrkit.hand import GraspCandidate, aligned_poses
 from cgrkit.model import DecisionBank, TrainConfig, forward, train
 from cgrkit.pipeline import (
     CollectionConfig,
@@ -123,25 +123,23 @@ def test_generate_scene_raises_when_crowded(pool):
 # Grasp oracle
 
 
-def _pinch_candidate(cgr, center, type_id=0):
+def _pinch_candidate(center, type_id=0):
     pose = Pose6D(np.eye(3), np.asarray(center, dtype=float))
-    return GraspCandidate(pose, type_id, cgr, antipodal_score=1.0)
+    return GraspCandidate(pose, type_id, antipodal_score=1.0)
 
 
 def test_grasp_oracle_pinch_on_cube(hand3):
-    cube = make_box((0.05, 0.05, 0.05), center=(0.0, 0.0, 0.025))
     from conftest import simple_scene
 
     scene = simple_scene({"cube": make_box((0.05, 0.05, 0.05))}, {"cube": (0.0, 0.0)})
-    cgr = compute_cgr(cube, RigidTransform(np.eye(3), [0, 0, 0.025]), ANN.grid)
     # identity hand pose at the cube center: the pinch fingertips close along
     # x and meet opposite faces
-    good = _pinch_candidate(cgr, [0.0, 0.0, 0.025])
+    good = _pinch_candidate([0.0, 0.0, 0.025])
     success, diag = grasp_oracle(good, hand3, scene, friction=0.5)
     assert success
     assert diag is not None and diag.feasible
     # far away: the fingers close on air
-    miss = _pinch_candidate(cgr, [0.5, 0.0, 0.025])
+    miss = _pinch_candidate([0.5, 0.0, 0.025])
     success, diag = grasp_oracle(miss, hand3, scene, friction=0.5)
     assert not success
     assert diag is None
@@ -234,11 +232,12 @@ def test_candidates_match_per_cgr_path(tmp_path, dataset0, hand3, oblique_hand):
             cgr = ds.cgr(cand["row"])
             R, t, i, j, score = reference_grasp_pose(cgr)
             gt = hand.type(cand["type"])
-            single = align_to_antipodal(query_grasp_pose(cgr), gt)
+            q = query_grasp_pose(cgr)
+            single = aligned_poses(frame_array(q.rotation, q.translation)[None], gt)[0]
             assert (cand["angle"], cand["section"], cand["score"]) == (i, j, score)
-            for rotation in (reference_alignment(R, gt), single.rotation):
+            for rotation in (reference_alignment(R, gt), single[:, :3]):
                 assert np.array_equal(cand["pose"][:, :3], rotation)
-            for translation in (t, single.translation):
+            for translation in (t, single[:, 3]):
                 assert np.array_equal(cand["pose"][:, 3], translation)
 
 
@@ -290,7 +289,6 @@ def test_detect_matches_per_candidate_reference(scene0, dataset0, hand3, oblique
             assert g.decision_score == w.get("decision")
             assert np.array_equal(g.pose.rotation, w["R"]) and np.array_equal(g.pose.translation, w["t"])
             assert g.instance_index == dataset0.instance[w["row"]]
-            assert np.array_equal(g.source_cgr.grid, dataset0.grids[w["row"]])
 
 
 def test_detect_scores_and_ordering(scene0, dataset0, hand3, bank0):
@@ -413,8 +411,7 @@ def test_evaluate_clears_the_grasped_instance(hand3, monkeypatch):
         np.min(np.linalg.norm(scene.instance_mesh(i).vertices - center, axis=1)) for i in range(2)
     ]
     assert nearest_vertex[1] < nearest_vertex[0]
-    cgr = compute_cgr(scene.instance_mesh(0), RigidTransform(np.eye(3), center), ANN.grid)
-    grasp = _pinch_candidate(cgr, center)
+    grasp = _pinch_candidate(center)
     grasp.instance_index = 0
     seen = []
 

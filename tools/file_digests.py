@@ -2,8 +2,10 @@
 
 Runs one `perfbench.workloads.run_round` of a workload, the first measured
 round of `perfbench/run.py --seed N` (round seed N * 1000), and prints the
-sha256 of the dataset, trial and bank files it wrote. Two checkouts that
-print the same lines wrote byte-identical files.
+sha256 of the dataset, trial and bank files it wrote, the sha256 of its
+coverage pool (every patch's points bytes, in pool order) and the coverage
+verdicts of its two checked probes. Two checkouts that print the same lines
+wrote byte-identical files and sampled bit-identical pools.
 
 Run from the repo root:  python3 tools/file_digests.py --workload loop --seed 7
 """
@@ -36,6 +38,12 @@ def main(argv=None) -> int:
         for name, path in sorted(rnd.check_inputs["paths"].items()):
             with open(path, "rb") as f:
                 print(f"{name} {hashlib.sha256(f.read()).hexdigest()}")
+    pool = hashlib.sha256()
+    for patch in rnd.check_inputs["pool"]:
+        pool.update(patch.points.tobytes())
+    print(f"pool {pool.hexdigest()} ({len(rnd.check_inputs['pool'])} patches)")
+    for k, (_, covered) in enumerate(rnd.check_inputs["probes"]):
+        print(f"probe{k} covered={covered}")
     return 0
 
 
