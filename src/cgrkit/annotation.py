@@ -35,6 +35,8 @@ DATASET_MAGIC = b"CGRKDS1\0"
 # (frame, scene point) pairs per chunk of the approach filter: about 3 MB
 # of float64 offsets
 _FILTER_CHUNK = 1 << 17
+# surface samples per instance that the approach filter tests against
+_FILTER_POINTS = 2000
 
 
 class AnnotationError(ValueError):
@@ -54,7 +56,7 @@ class Scene:
     table_normal: np.ndarray
     meshes: dict  # mesh_id -> TriangleMesh (object frame)
     _merged: tuple = field(default=(None, None), init=False, repr=False, compare=False)
-    _cloud: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    _clouds: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.table_point = np.asarray(self.table_point, dtype=float).reshape(3)
@@ -83,15 +85,20 @@ class Scene:
 
     def surface_cloud(self, count_per_instance: int = 2000, seed: int = 0) -> PointCloud:
         """count_per_instance surface samples of each instance (seed + index),
-        resampled only when the scene state, count or seed changes."""
-        key = (self._state_key(), count_per_instance, seed)
-        if self._cloud[0] != key:
-            clouds = [sample_surface_points(self.instance_mesh(i), count_per_instance, seed + i)
-                      for i in range(len(self.instances))]
-            cloud = (PointCloud(np.vstack([c.points for c in clouds]), np.vstack([c.normals for c in clouds]))
-                     if clouds else PointCloud(np.zeros((0, 3))))
-            self._cloud = (key, cloud)
-        return self._cloud[1]
+        in instance order. One cloud per (count, seed) is kept for the
+        current scene state, so callers asking for different clouds do not
+        evict each other; a state change drops them all."""
+        state = self._state_key()
+        if self._clouds[0] != state:
+            self._clouds = (state, {})
+        clouds = self._clouds[1]
+        if (count_per_instance, seed) not in clouds:
+            parts = [sample_surface_points(self.instance_mesh(i), count_per_instance, seed + i)
+                     for i in range(len(self.instances))]
+            clouds[count_per_instance, seed] = (
+                PointCloud(np.vstack([c.points for c in parts]), np.vstack([c.normals for c in parts]))
+                if parts else PointCloud(np.zeros((0, 3))))
+        return clouds[count_per_instance, seed]
 
     def without_instance(self, index: int) -> "Scene":
         rest = [inst for i, inst in enumerate(self.instances) if i != index]
@@ -224,7 +231,7 @@ def surface_voxel_points(mesh: TriangleMesh, resolution: float, samples_per_area
     return points
 
 
-def candidate_frames(obj: TriangleMesh, params: AnnotationParams, seed: int = 0) -> np.ndarray:
+def candidate_frames(obj: TriangleMesh, params: AnnotationParams) -> np.ndarray:
     """Approach frames (K, 3, 4): surface-voxel representative points
     crossed with a deterministic spiral of approach directions (frame
     z-axis), point-major."""
@@ -267,7 +274,6 @@ def annotate_scene(
     scene: Scene,
     params: AnnotationParams | None = None,
     scene_id: int = 0,
-    seed: int = 0,
     cache: dict | None = None,
 ) -> CgrDataset:
     """Dense CGR annotation: per instance, frames on the object surface,
@@ -282,15 +288,12 @@ def annotate_scene(
     params = params or AnnotationParams()
     g = params.grid
     frames, grids, valid = [np.zeros((0, 3, 4))], [np.zeros((0, g.n_sections, g.n_angles, 2))], [np.zeros(0, bool)]
-    scene_points_per_instance = [
-        sample_surface_points(scene.instance_mesh(i), 2000, seed=1 + i).points
-        for i in range(len(scene.instances))
-    ]
+    scene_points = scene.surface_cloud(_FILTER_POINTS, seed=1).points  # instance-major
     for idx, inst in enumerate(scene.instances):
         obj = scene.meshes[inst.mesh_id]
         entry = cache[inst.mesh_id] if cache is not None and inst.mesh_id in cache else None
         if entry is None or entry[0] is not obj or entry[1] != params:
-            frames_obj = candidate_frames(obj, params, seed)
+            frames_obj = candidate_frames(obj, params)
             entry = (obj, params, frames_obj, cgr_grids(obj, frames_obj, g))
             if cache is not None:
                 cache[inst.mesh_id] = entry
@@ -298,8 +301,7 @@ def annotate_scene(
         # the stacked forms of inst.pose.compose(frame), bit for bit
         Rp, tp = inst.pose.rotation, inst.pose.translation
         world = frame_array(Rp @ frames_obj[:, :, :3], (Rp @ frames_obj[:, :, 3:])[..., 0] + tp)
-        others = [pts for i, pts in enumerate(scene_points_per_instance) if i != idx]
-        other_points = np.vstack(others) if others else np.zeros((0, 3))
+        other_points = np.delete(scene_points, np.s_[idx * _FILTER_POINTS:(idx + 1) * _FILTER_POINTS], axis=0)
         frames.append(world)
         grids.append(grids_obj)
         valid.append(~_approach_collisions(world, scene, params.cylinder_radius, params.cylinder_length, other_points))

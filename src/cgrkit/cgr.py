@@ -98,22 +98,6 @@ class AntipodalRep:
         return i, j, float(flat[order])
 
 
-@dataclass
-class Pose6D:
-    rotation: np.ndarray
-    translation: np.ndarray
-    source_alpha: float = 0.0
-    source_section: int = 0
-
-    def __post_init__(self):
-        tf = RigidTransform(self.rotation, self.translation)  # validates
-        self.rotation = tf.rotation
-        self.translation = tf.translation
-
-    def as_transform(self) -> RigidTransform:
-        return RigidTransform(self.rotation, self.translation)
-
-
 def frame_from_row(row: np.ndarray) -> RigidTransform:
     """The transform of a stored float32 [R | t] frame (3, 4). float32
     storage degrades orthogonality, so R is projected back onto SO(3)."""
@@ -226,12 +210,11 @@ def best_grasp_poses(frames: np.ndarray, grids: np.ndarray, params: CgrGridParam
     return frame_array(R_g, t_g), angle, section, score[np.arange(len(score)), best]
 
 
-def query_grasp_pose(cgr: Cgr) -> Pose6D:
+def query_grasp_pose(cgr: Cgr) -> RigidTransform:
     """6-DoF pose of the best antipodal entry: rotate the frame about its own
     z by the winning angle and advance to the winning section depth."""
     frame = frame_array(cgr.frame.rotation, cgr.frame.translation)[None]
-    poses, angle, section, score = best_grasp_poses(frame, cgr.grid[None], cgr.params)
+    poses, _, _, score = best_grasp_poses(frame, cgr.grid[None], cgr.params)
     if score[0] <= 0.0:
         raise CgrError("no antipodal contact")
-    alpha = 2 * np.pi * int(angle[0]) / cgr.params.n_angles
-    return Pose6D(poses[0, :, :3], poses[0, :, 3], source_alpha=alpha, source_section=int(section[0]))
+    return RigidTransform(poses[0, :, :3], poses[0, :, 3])

@@ -123,7 +123,7 @@ def _write_grasp_csv(path, candidates):
             + ["tx", "ty", "tz"]
         )
         for rank, c in enumerate(candidates):
-            pose = list(c.pose.rotation.reshape(9)) + list(c.pose.translation)
+            pose = list(c.pose[:, :3].reshape(9)) + list(c.pose[:, 3])
             writer.writerow(
                 [rank, c.grasp_type_id,
                  "" if c.decision_score is None else f"{c.decision_score:.6f}",
@@ -137,7 +137,7 @@ def _cmd_annotate(args) -> int:
     scene_path, out = _require(merged, "scene", "out")
     params = _annotation_params(merged)
     scene = compose_scene(scene_path)
-    ds = annotate_scene(scene, params, seed=int(merged.get("seed", 0)))
+    ds = annotate_scene(scene, params)
     write_dataset(ds, out)
     print(f"annotated {len(ds)} CGRs ({int(ds.valid.sum())} valid) -> {out}")
     return 0
@@ -285,17 +285,20 @@ def _build_parser() -> _Parser:
     def add(name, *flags):
         p = sub.add_parser(name)
         p.add_argument("--config")
-        p.add_argument("--seed", type=int)
         for flag in flags:
             p.add_argument(f"--{flag}")
         return p
 
     add("annotate", "scene", "out", "resolution", "dirs", "cyl_radius", "cyl_length")
-    add("coverage", "train", "test", "preset", "tau", "out")
-    add("collect", "scenes", "hand", "count", "out", "resolution", "dirs")
-    add("train", "trials", "out", "epochs", "hidden")
-    add("detect", "scene", "hand", "bank", "out", "top_cgr", "top_candidates", "resolution", "dirs")
-    add("eval", "scenes", "hand", "bank", "policy", "friction", "out", "resolution", "dirs")
+    # annotation is deterministic; every other command draws from --seed
+    for p in (
+        add("coverage", "train", "test", "preset", "tau", "out"),
+        add("collect", "scenes", "hand", "count", "out", "resolution", "dirs"),
+        add("train", "trials", "out", "epochs", "hidden"),
+        add("detect", "scene", "hand", "bank", "out", "top_cgr", "top_candidates", "resolution", "dirs"),
+        add("eval", "scenes", "hand", "bank", "policy", "friction", "out", "resolution", "dirs"),
+    ):
+        p.add_argument("--seed", type=int)
     return parser
 
 

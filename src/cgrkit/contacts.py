@@ -35,6 +35,8 @@ class Contact:
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float).reshape(3)
         n = np.asarray(self.normal, dtype=float).reshape(3)
+        if not (np.isfinite(self.position).all() and np.isfinite(n).all()):
+            raise ContactError("non-finite contact position or normal")
         ln = np.linalg.norm(n)
         if abs(ln - 1.0) > 1e-9:
             if ln < 1e-12:

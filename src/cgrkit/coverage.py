@@ -19,10 +19,10 @@ from scipy.spatial import cKDTree
 
 from .cgr import CgrGridParams, _antipodal, cgr_grids
 from .geometry import (
-    RigidTransform,
     TriangleMesh,
     bin_points,
     fibonacci_sphere,
+    frame_array,
     point_direction_frames,
     rotation_z,
     sample_surface_points,
@@ -76,7 +76,7 @@ def sparse_params(**kw) -> SamplingParams:
 class LocalGeometry:
     points: np.ndarray  # (points_per_patch, 3), box frame
     source_object: str
-    source_pose: RigidTransform
+    source_pose: np.ndarray  # (3, 4) box frame [R | t]
 
     _tree: cKDTree = None
 
@@ -146,7 +146,7 @@ def sample_local_geometries(
         # produce strict supersets of sparser ones
         rng = np.random.default_rng((seed, point_idx, dir_idx * dir_stride, int(a[j]) * master_angle_stride))
         sel = rng.integers(0, len(pts), size=params.points_per_patch)
-        patches.append(LocalGeometry(pts[sel], object_id, RigidTransform(R, t)))
+        patches.append(LocalGeometry(pts[sel], object_id, frame_array(R, t)))
     return patches
 
 

@@ -636,9 +636,9 @@ def save_obj(mesh: TriangleMesh, path) -> None:
 
 def load_stl(path, watertight: bool = False) -> TriangleMesh:
     with open(path, "rb") as f:
-        f.read(80)
-        (n,) = struct.unpack("<I", f.read(4))
-        data = np.frombuffer(f.read(n * 50), dtype=np.uint8).reshape(n, 50)
+        _read_exact(f, 80, GeometryError)
+        (n,) = struct.unpack("<I", _read_exact(f, 4, GeometryError))
+        data = np.frombuffer(_read_exact(f, n * 50, GeometryError), dtype=np.uint8).reshape(n, 50)
     tris = data[:, 12:48].copy().view("<f4").reshape(n, 3, 3).astype(float)
     verts = tris.reshape(-1, 3)
     faces = np.arange(3 * n, dtype=np.int64).reshape(n, 3)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cgr import Pose6D
 from .contacts import Contact
 from .geometry import PointCloud, TriangleMesh, frame_array, load_mesh, voxelize_mesh
 
@@ -90,7 +89,7 @@ class HandSpec:
 
 @dataclass
 class GraspCandidate:
-    pose: Pose6D
+    pose: np.ndarray  # (3, 4) hand pose [R | t]
     grasp_type_id: int
     antipodal_score: float
     decision_score: float | None = None
@@ -230,8 +229,7 @@ def hand_scene_collision(
     voxel_size: float = 0.005,
 ) -> bool:
     """hand_scene_collisions for one candidate."""
-    pose = frame_array(candidate.pose.rotation, candidate.pose.translation)[None]
-    return bool(hand_scene_collisions(pose, gt, scene_cloud, voxel_size)[0])
+    return bool(hand_scene_collisions(candidate.pose[None], gt, scene_cloud, voxel_size)[0])
 
 
 def fingertip_contacts(
@@ -240,16 +238,17 @@ def fingertip_contacts(
     """Simulated finger closing: each fingertip ray's first hit within
     max_close_travel becomes a contact. Contact normals follow the push
     direction (into the object); fingers that miss produce no contact."""
-    tf = candidate.pose.as_transform()
+    R, t = candidate.pose[:, :3], candidate.pose[:, 3]
     contacts = []
     for ray in gt.fingertip_rays:
-        origin = tf.apply(ray.origin)
-        direction = tf.apply_vector(ray.direction)
+        # RigidTransform(R, t).apply / apply_vector, term for term
+        origin = ray.origin @ R.T + t
+        direction = ray.direction @ R.T
         hit = scene_mesh.ray_intersect(origin, direction, gt.max_close_travel)
         if hit is None:
             continue
-        t, normal = hit
+        dist, normal = hit
         # orient into the object: oppose the outward surface normal facing the ray
         n = -normal if np.dot(normal, direction) < 0 else normal
-        contacts.append(Contact(origin + t * direction, n))
+        contacts.append(Contact(origin + dist * direction, n))
     return contacts

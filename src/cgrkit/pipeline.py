@@ -22,7 +22,7 @@ from .annotation import (
     SceneInstance,
     annotate_scene,
 )
-from .cgr import Pose6D, best_antipodal_scores, best_grasp_poses, record_dtype
+from .cgr import best_antipodal_scores, best_grasp_poses, record_dtype
 from .contacts import ForceClosureParams, force_closure
 from .geometry import RigidTransform, _read_exact, frame_array, rotation_z
 from .hand import (
@@ -183,7 +183,7 @@ def collect(
             continue
         friction = float(rng.uniform(*config.friction_range))
         success, diag = grasp_oracle(candidate, hand, scene, friction)
-        records.append(TrialRecord(ds.frames[cand["row"]], ds.grids[cand["row"]], cand["pose"].copy(), type_id,
+        records.append(TrialRecord(ds.frames[cand["row"]], ds.grids[cand["row"]], candidate.pose, type_id,
                                    int(success), friction, diag))
         type_counts[type_id] += 1
     return records
@@ -239,9 +239,7 @@ def _expand_candidates(dataset: CgrDataset, hand: HandSpec, k: int) -> np.ndarra
 
 def _grasp_candidate(dataset: CgrDataset, cand, decision_score: float | None = None) -> GraspCandidate:
     """The GraspCandidate of one candidate row."""
-    alpha = 2 * np.pi * int(cand["angle"]) / dataset.params.grid.n_angles
-    pose = Pose6D(cand["pose"][:, :3], cand["pose"][:, 3], alpha, int(cand["section"]))
-    return GraspCandidate(pose, int(cand["type"]), float(cand["score"]), decision_score,
+    return GraspCandidate(cand["pose"].copy(), int(cand["type"]), float(cand["score"]), decision_score,
                           int(dataset.instance[cand["row"]]))
 
 

@@ -13,6 +13,7 @@ from cgrkit.coverage import (
 )
 from cgrkit.geometry import (
     RigidTransform,
+    frame_array,
     frame_from_z,
     make_box,
     make_cylinder,
@@ -102,7 +103,7 @@ def reference_patches(obj, params, seed=0, object_id=""):
                 rng = np.random.default_rng((seed, point_idx, dir_idx * (MASTER_DIRECTIONS // len(dirs)),
                                              a * (MASTER_INPLANE // params.inplane_angles)))
                 sel = rng.integers(0, len(pts), size=params.points_per_patch)
-                patches.append(LocalGeometry(pts[sel], object_id, box_tf))
+                patches.append(LocalGeometry(pts[sel], object_id, frame_array(R_box, cgr.frame.translation)))
     return patches
 
 

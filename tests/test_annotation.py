@@ -235,6 +235,36 @@ def test_filter_batch_matches_per_frame(monkeypatch):
     assert 0 < ds.valid.sum() < len(ds)
 
 
+def test_filter_points_come_from_the_scene_cloud(monkeypatch):
+    """The approach filter's points are the scene's cached 2000-per-instance
+    cloud: a second annotation of an unchanged scene samples nothing, and
+    each instance is tested against the samples of every other instance."""
+    from cgrkit import annotation
+
+    scene, cache = _tilted_scene(), {}
+    annotate_scene(scene, SMALL, cache=cache)
+    scene.surface_cloud(1500, seed=0)  # detection's cloud is kept beside it
+    sampled, tested = [], []
+    real_sample, real_filter = annotation.sample_surface_points, annotation._approach_collisions
+
+    def counting_sample(*args, **kwargs):
+        sampled.append(args)
+        return real_sample(*args, **kwargs)
+
+    def recording_filter(frames, scene, radius, length, scene_points):
+        tested.append(scene_points)
+        return real_filter(frames, scene, radius, length, scene_points)
+
+    monkeypatch.setattr(annotation, "sample_surface_points", counting_sample)
+    monkeypatch.setattr(annotation, "_approach_collisions", recording_filter)
+    annotate_scene(scene, SMALL, cache=cache)
+    assert sampled == []
+    points = [sample_surface_points(scene.instance_mesh(i), 2000, seed=1 + i).points for i in range(3)]
+    assert len(tested) == 3
+    for idx, got in enumerate(tested):
+        assert np.array_equal(got, np.vstack([p for i, p in enumerate(points) if i != idx]))
+
+
 def test_filter_validates_params():
     with pytest.raises(AnnotationError):
         AnnotationParams(cylinder_radius=0)

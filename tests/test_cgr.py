@@ -330,8 +330,8 @@ def test_query_pose_formula():
     t_expect = frame.translation + p.section_depths[j_win] * R_expect[:, 2]
     assert np.allclose(pose.rotation, R_expect, atol=1e-12)
     assert np.allclose(pose.translation, t_expect, atol=1e-12)
-    assert pose.source_section == j_win
-    assert abs(pose.source_alpha - alpha) < 1e-12
+    _, angle, section, _ = best_grasp_poses(frame_array(frame.rotation, frame.translation)[None], grid[None], p)
+    assert (angle[0], section[0]) == (i_win, j_win)
 
 
 def _tie_grids(rng, p, count):
@@ -379,7 +379,6 @@ def test_best_grasp_poses_match_per_cgr():
             if s > 0:
                 pose = query_grasp_pose(cgr)
                 assert np.array_equal(pose.rotation, R) and np.array_equal(pose.translation, t)
-                assert (pose.source_alpha, pose.source_section) == (2 * np.pi * i / p.n_angles, j)
     # a full tie goes to the first entry; no contact scores 0
     assert (angle[0], section[0], score[3]) == (0, 0, 0.0)
 

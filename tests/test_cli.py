@@ -87,6 +87,16 @@ def test_missing_scene_file_exits_2(tmp_path):
     )
 
 
+def test_truncated_mesh_exits_2(tmp_path):
+    (tmp_path / "short.stl").write_bytes(b"\0" * 40)
+    (tmp_path / "list.txt").write_text("short short.stl\n")
+    assert (
+        cli(["coverage", "--train", str(tmp_path / "list.txt"),
+             "--test", str(tmp_path / "list.txt"), "--out", str(tmp_path / "cov.csv")])
+        == 2
+    )
+
+
 def test_missing_trials_file_exits_2(tmp_path):
     assert (
         cli(["train", "--trials", str(tmp_path / "nope.bin"),

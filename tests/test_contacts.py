@@ -27,6 +27,14 @@ def test_contact_normalizes_normal():
         Contact([0, 0, 0], [0, 0, 0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_contact_rejects_non_finite(bad):
+    with pytest.raises(ContactError, match="non-finite"):
+        Contact([0, 0, 0], [bad, 0, 0])
+    with pytest.raises(ContactError, match="non-finite"):
+        Contact([0, bad, 0], [0, 0, 1])
+
+
 def test_cross_matrix_oracle():
     rng = np.random.default_rng(0)
     for _ in range(20):

@@ -106,8 +106,7 @@ def test_patches_match_per_frame_reference(preset):
         assert len(got) == len(want) > 0
         for g, w in zip(got, want):
             assert np.array_equal(g.points, w.points) and g.source_object == w.source_object == oid
-            assert np.array_equal(g.source_pose.rotation, w.source_pose.rotation)
-            assert np.array_equal(g.source_pose.translation, w.source_pose.translation)
+            assert np.array_equal(g.source_pose, w.source_pose)
 
 
 def test_too_small_object_yields_no_patches():

@@ -482,6 +482,12 @@ def test_stl_load(tmp_path):
     mesh = load_stl(tmp_path / "t.stl")
     assert len(mesh) == 1
     assert np.allclose(sorted(mesh.vertices.tolist()), sorted(tri))
+    blob = (tmp_path / "t.stl").read_bytes()
+    # inside the header, inside the count, inside the triangle record
+    for cut in (40, 82, 84 + 30):
+        (tmp_path / "cut.stl").write_bytes(blob[:cut])
+        with pytest.raises(GeometryError, match="truncated file"):
+            load_stl(tmp_path / "cut.stl")
 
 
 def test_mesh_normals_outward(cube):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cgrkit import bundled_hand_path
-from cgrkit.cgr import Pose6D, antipodal_rep, best_grasp_poses, compute_cgr, query_grasp_pose
+from cgrkit.cgr import antipodal_rep, best_grasp_poses, compute_cgr, query_grasp_pose
 from cgrkit.geometry import (
     PointCloud,
     RigidTransform,
@@ -162,7 +162,8 @@ def test_candidates_from_cgr(slab, hand3):
 
 def test_candidate_score_validation(slab, hand3):
     cgr = compute_cgr(slab, RigidTransform.identity())
-    pose = query_grasp_pose(cgr)
+    tf = query_grasp_pose(cgr)
+    pose = frame_array(tf.rotation, tf.translation)
     with pytest.raises(HandError):
         GraspCandidate(pose, 0, antipodal_score=1.5)
     with pytest.raises(HandError):
@@ -174,7 +175,7 @@ def test_candidate_score_validation(slab, hand3):
 
 
 def _pinch_candidate(hand3, rotation=None, translation=(0, 0, 0)):
-    pose = Pose6D(rotation if rotation is not None else np.eye(3), np.asarray(translation, float))
+    pose = frame_array(rotation if rotation is not None else np.eye(3), np.asarray(translation, float))
     return GraspCandidate(pose, 0, antipodal_score=1.0)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from cgrkit import pipeline
 from cgrkit.annotation import AnnotationParams, annotate_scene, read_dataset, write_dataset
-from cgrkit.cgr import CgrGridParams, Pose6D, query_grasp_pose
+from cgrkit.cgr import CgrGridParams, query_grasp_pose
 from cgrkit.geometry import frame_array, make_box, make_cylinder
 from cgrkit.hand import GraspCandidate, aligned_poses
 from cgrkit.model import DecisionBank, TrainConfig, forward, train
@@ -124,7 +124,7 @@ def test_generate_scene_raises_when_crowded(pool):
 
 
 def _pinch_candidate(center, type_id=0):
-    pose = Pose6D(np.eye(3), np.asarray(center, dtype=float))
+    pose = frame_array(np.eye(3), np.asarray(center, dtype=float))
     return GraspCandidate(pose, type_id, antipodal_score=1.0)
 
 
@@ -287,7 +287,7 @@ def test_detect_matches_per_candidate_reference(scene0, dataset0, hand3, oblique
         for g, w in zip(got, want):
             assert g.grasp_type_id == w["type"] and g.antipodal_score == w["score"]
             assert g.decision_score == w.get("decision")
-            assert np.array_equal(g.pose.rotation, w["R"]) and np.array_equal(g.pose.translation, w["t"])
+            assert np.array_equal(g.pose[:, :3], w["R"]) and np.array_equal(g.pose[:, 3], w["t"])
             assert g.instance_index == dataset0.instance[w["row"]]
 
 
@@ -327,8 +327,35 @@ def test_detect_on_read_dataset_matches_fresh(tmp_path, scene0, dataset0, hand3,
         for a, b in zip(fresh, read):
             assert a.grasp_type_id == b.grasp_type_id
             assert abs(a.antipodal_score - b.antipodal_score) < 1e-6
-            assert np.max(np.abs(a.pose.rotation - b.pose.rotation)) < 1e-6
-            assert np.max(np.abs(a.pose.translation - b.pose.translation)) < 1e-6
+            assert np.max(np.abs(a.pose - b.pose)) < 1e-6
+
+
+def test_library_poses_stay_arrays(monkeypatch, pool, scene0, dataset0, hand3, bank0):
+    """Poses computed inside the library stay [R | t] arrays: detection,
+    collection, the oracle and patch sampling build no RigidTransform."""
+    from cgrkit import geometry
+    from cgrkit.coverage import sample_local_geometries, sparse_params
+
+    built = []
+    real = geometry.RigidTransform.__post_init__
+
+    def counting(self):
+        built.append(type(self))
+        real(self)
+
+    monkeypatch.setattr(geometry.RigidTransform, "__post_init__", counting)
+    config = DetectionConfig(top_cgr=20, top_candidates=40)
+    ranked = detect(scene0, hand3, bank0, config, dataset=dataset0)
+    ranked += detect_baseline(scene0, hand3, config, dataset=dataset0, seed=1)
+    collect(CollectionConfig(target_size=8, seed=1), [(scene0, dataset0)], hand3)
+    for candidate in ranked[:8]:
+        grasp_oracle(candidate, hand3, scene0, friction=0.5)
+    params = sparse_params(points_per_patch=16, surface_samples=2000, grasp_point_resolution=0.04)
+    patches = sample_local_geometries(pool["cube"], params, object_id="cube")
+    assert built == []
+    assert ranked and patches
+    for pose in [c.pose for c in ranked] + [p.source_pose for p in patches]:
+        assert pose.shape == (3, 4) and pose.dtype == np.float64
 
 
 def test_detect_on_empty_scene(tmp_path, scene0, hand3, bank0):
@@ -350,7 +377,7 @@ def test_baseline_ordering_and_determinism(scene0, dataset0, hand3):
     assert len(a) == len(b) > 0
     for ca, cb in zip(a, b):
         assert ca.grasp_type_id == cb.grasp_type_id
-        assert np.array_equal(ca.pose.translation, cb.pose.translation)
+        assert np.array_equal(ca.pose[:, 3], cb.pose[:, 3])
     scores = [c.antipodal_score for c in a]
     assert scores == sorted(scores, reverse=True)
     for c in a:
