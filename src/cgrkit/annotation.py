@@ -37,6 +37,8 @@ DATASET_MAGIC = b"CGRKDS1\0"
 _FILTER_CHUNK = 1 << 17
 # surface samples per instance that the approach filter tests against
 _FILTER_POINTS = 2000
+# values after the directive on each .scene line
+_SCENE_VALUES = {"mesh": 2, "instance": 8, "table": 6}
 
 
 class AnnotationError(ValueError):
@@ -61,7 +63,10 @@ class Scene:
     def __post_init__(self):
         self.table_point = np.asarray(self.table_point, dtype=float).reshape(3)
         n = np.asarray(self.table_normal, dtype=float).reshape(3)
-        self.table_normal = n / np.linalg.norm(n)
+        ln = np.linalg.norm(n)
+        if not (np.isfinite(self.table_point).all() and np.isfinite(ln) and ln > 1e-12):
+            raise AnnotationError("table point and normal must be finite and the normal nonzero")
+        self.table_normal = n / ln
         for inst in self.instances:
             if inst.mesh_id not in self.meshes:
                 raise AnnotationError(f"unresolved mesh id '{inst.mesh_id}'")
@@ -135,27 +140,29 @@ def compose_scene(path) -> Scene:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
+            key, *args = line.split()
             try:
-                if parts[0] == "mesh":
-                    mesh_path = os.path.join(base, parts[2])
+                if key not in _SCENE_VALUES:
+                    raise AnnotationError(f"unknown directive '{key}'")
+                if len(args) != _SCENE_VALUES[key]:
+                    raise AnnotationError(f"'{key}' takes {_SCENE_VALUES[key]} values, got {len(args)}")
+                if key == "mesh":
+                    mesh_path = os.path.join(base, args[1])
                     if not os.path.exists(mesh_path):
-                        raise AnnotationError(f"mesh file not found for '{parts[1]}': {mesh_path}")
-                    meshes[parts[1]] = load_mesh(mesh_path, watertight=True)
-                elif parts[0] == "instance":
-                    vals = [float(x) for x in parts[2:9]]
-                    pose = RigidTransform(_quat_to_rotation(*vals[:4]), vals[4:7])
-                    if parts[1] not in meshes:
-                        raise AnnotationError(f"instance references unknown mesh '{parts[1]}'")
-                    instances.append(SceneInstance(parts[1], pose))
-                elif parts[0] == "table":
-                    vals = [float(x) for x in parts[1:7]]
-                    table_point = np.array(vals[:3])
-                    table_normal = np.array(vals[3:6])
+                        raise AnnotationError(f"mesh file not found for '{args[0]}': {mesh_path}")
+                    meshes[args[0]] = load_mesh(mesh_path, watertight=True)
+                elif key == "instance":
+                    vals = [float(x) for x in args[1:]]
+                    pose = RigidTransform(_quat_to_rotation(*vals[:4]), vals[4:])
+                    if args[0] not in meshes:
+                        raise AnnotationError(f"instance references unknown mesh '{args[0]}'")
+                    instances.append(SceneInstance(args[0], pose))
                 else:
-                    raise AnnotationError(f"unknown directive '{parts[0]}'")
-            except (ValueError, IndexError) as exc:
-                raise AnnotationError(f"{path}:{lineno}: parse error") from exc
+                    vals = [float(x) for x in args]
+                    table_point = np.array(vals[:3])
+                    table_normal = np.array(vals[3:])
+            except ValueError as exc:  # AnnotationError and bad numbers alike
+                raise AnnotationError(f"{path}:{lineno}: {exc}") from exc
     return Scene(instances, table_point, table_normal, meshes)
 
 
@@ -211,14 +218,14 @@ class CgrDataset:
                 for k, (s, v, i) in enumerate(zip(self.scene_id, self.valid, self.instance))]
 
 
-def surface_voxel_points(mesh: TriangleMesh, resolution: float, samples_per_area: int = 200_000) -> np.ndarray:
+def surface_voxel_points(mesh: TriangleMesh, resolution: float) -> np.ndarray:
     """One representative surface point per occupied surface voxel: the mean
     of dense surface samples binned to the voxel grid, in occupancy order.
     A voxel no sample reached is represented by its center."""
     grid = voxelize_mesh(mesh, resolution)
     if not len(grid):
         raise AnnotationError("empty surface")
-    n_samples = max(1000, min(samples_per_area, 64 * len(grid)))
+    n_samples = max(1000, min(200_000, 64 * len(grid)))
     cloud = sample_surface_points(mesh, n_samples, seed=0)
     cells = grid.cells()
     points = grid.origin + (cells + 0.5) * resolution

@@ -9,18 +9,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 
-import numpy as np
-
 from . import bundled_hand_path
-from .annotation import (
-    AnnotationParams,
-    annotate_scene,
-    compose_scene,
-    read_dataset,
-    write_dataset,
-)
+from .annotation import AnnotationParams, annotate_scene, compose_scene, write_dataset
 from .cgr import CgrGridParams
 from .coverage import coverage_curve, dense_params, sparse_params, write_coverage_csv
 from .geometry import load_mesh
@@ -80,6 +73,12 @@ def _require(merged: dict, *keys):
     return [merged[k] for k in keys]
 
 
+def _given(merged: dict, **fields) -> dict:
+    """Keyword arguments from the flags that were given, as flag=(name, type);
+    a flag not given leaves the library's default in place."""
+    return {name: kind(merged[flag]) for flag, (name, kind) in fields.items() if flag in merged}
+
+
 def _resolve_hand(path_or_name: str):
     try:
         return load_hand_spec(path_or_name)
@@ -89,8 +88,6 @@ def _resolve_hand(path_or_name: str):
 
 def _read_mesh_list(path) -> dict:
     """Lines of '<id> <mesh path>' (paths relative to the list file)."""
-    import os
-
     base = os.path.dirname(os.path.abspath(path))
     out = {}
     with open(path) as f:
@@ -104,14 +101,13 @@ def _read_mesh_list(path) -> dict:
 
 
 def _annotation_params(merged: dict) -> AnnotationParams:
-    grid = CgrGridParams()
-    return AnnotationParams(
-        surface_resolution=float(merged.get("resolution", 0.005)),
-        approach_directions=int(merged.get("dirs", 300)),
-        cylinder_radius=float(merged.get("cyl_radius", 0.06)),
-        cylinder_length=float(merged.get("cyl_length", 0.25)),
-        grid=grid,
-    )
+    return AnnotationParams(**_given(
+        merged,
+        resolution=("surface_resolution", float),
+        dirs=("approach_directions", int),
+        cyl_radius=("cylinder_radius", float),
+        cyl_length=("cylinder_length", float),
+    ))
 
 
 def _write_grasp_csv(path, candidates):
@@ -154,8 +150,7 @@ def _cmd_coverage(args) -> int:
         _read_mesh_list(train_list),
         _read_mesh_list(test_list),
         train_params=params,
-        tau=float(merged.get("tau", 0.001)),
-        seed=int(merged.get("seed", 0)),
+        **_given(merged, tau=("tau", float), seed=("seed", int)),
     )
     write_coverage_csv(rows, out)
     print(f"coverage for {len(rows)} test objects -> {out}")
@@ -164,20 +159,14 @@ def _cmd_coverage(args) -> int:
 
 def _cmd_collect(args) -> int:
     merged = _merged(args, vars(args))
-    out = _require(merged, "out")[0]
-    scene_paths = merged.get("scenes")
-    if not scene_paths:
-        raise UsageError("missing required flag --scenes")
-    hand = _resolve_hand(_require(merged, "hand")[0])
+    scene_paths, hand_name, out = _require(merged, "scenes", "hand", "out")
+    hand = _resolve_hand(hand_name)
     params = _annotation_params(merged)
     annotated = []
-    for path in scene_paths.split(",") if isinstance(scene_paths, str) else scene_paths:
+    for path in scene_paths.split(","):
         scene = compose_scene(path)
         annotated.append((scene, annotate_scene(scene, params)))
-    config = CollectionConfig(
-        target_size=int(merged.get("count", 400)),
-        seed=int(merged.get("seed", 0)),
-    )
+    config = CollectionConfig(**_given(merged, count=("target_size", int), seed=("seed", int)))
     records = collect(config, annotated, hand)
     write_trials(records, params.grid, out)
     successes = sum(r.outcome for r in records)
@@ -192,11 +181,7 @@ def _cmd_train(args) -> int:
     records = read_trials(grid, trials_path)
     if not records:
         raise ValueError("no trial records")
-    config = TrainConfig(
-        epochs=int(merged.get("epochs", 20)),
-        seed=int(merged.get("seed", 0)),
-        hidden=int(merged.get("hidden", 1024)),
-    )
+    config = TrainConfig(**_given(merged, epochs=("epochs", int), seed=("seed", int), hidden=("hidden", int)))
     models = {}
     for type_id, (feats, labels) in trials_to_training_data(records).items():
         sub, logs = train(feats, labels, config)
@@ -213,17 +198,12 @@ def _cmd_detect(args) -> int:
     scene = compose_scene(scene_path)
     hand = _resolve_hand(hand_path)
     params = _annotation_params(merged)
-    config = DetectionConfig(
-        top_cgr=int(merged.get("top_cgr", 100)),
-        top_candidates=int(merged.get("top_candidates", 200)),
-    )
+    config = DetectionConfig(**_given(merged, top_cgr=("top_cgr", int), top_candidates=("top_candidates", int)))
     if merged.get("bank"):
         bank = load_bank(merged["bank"])
         ranked = detect(scene, hand, bank, config, annotation=params)
     else:
-        ranked = detect_baseline(
-            scene, hand, config, annotation=params, seed=int(merged.get("seed", 0))
-        )
+        ranked = detect_baseline(scene, hand, config, annotation=params, **_given(merged, seed=("seed", int)))
     _write_grasp_csv(out, ranked)
     print(f"{len(ranked)} grasps -> {out}")
     return 0
@@ -231,27 +211,14 @@ def _cmd_detect(args) -> int:
 
 def _cmd_eval(args) -> int:
     merged = _merged(args, vars(args))
-    out = _require(merged, "out")[0]
-    scene_paths = merged.get("scenes")
-    if not scene_paths:
-        raise UsageError("missing required flag --scenes")
-    hand = _resolve_hand(_require(merged, "hand")[0])
+    scene_paths, hand_name, out = _require(merged, "scenes", "hand", "out")
+    hand = _resolve_hand(hand_name)
     policy = merged.get("policy", "detect")
     bank = load_bank(merged["bank"]) if merged.get("bank") else None
     params = _annotation_params(merged)
-    scenes = [
-        compose_scene(p)
-        for p in (scene_paths.split(",") if isinstance(scene_paths, str) else scene_paths)
-    ]
-    stats = evaluate(
-        policy,
-        scenes,
-        hand,
-        bank,
-        annotation=params,
-        eval_friction=float(merged.get("friction", 0.5)),
-        seed=int(merged.get("seed", 0)),
-    )
+    scenes = [compose_scene(p) for p in scene_paths.split(",")]
+    stats = evaluate(policy, scenes, hand, bank, annotation=params,
+                     **_given(merged, friction=("eval_friction", float), seed=("seed", int)))
     rate = stats.success_rate
     with open(out, "w", newline="") as f:
         writer = csv.writer(f)

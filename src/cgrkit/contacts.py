@@ -15,6 +15,9 @@ import numpy as np
 from .geometry import orthonormal_tangents
 
 
+# the grasp matrix G has full wrench rank when the smallest eigenvalue of
+# G G^T exceeds this
+_RANK_EPS = 1e-3
 # phase-1 simplex pivots allowed per tableau column; Bland's rule cannot
 # cycle, so reaching the cap means the tableau has gone numerically wrong
 _PIVOT_CAP = 200
@@ -48,15 +51,12 @@ class Contact:
 @dataclass(frozen=True)
 class ForceClosureParams:
     friction: float = 0.5
-    rank_eps: float = 1e-3
     cone_edges: int = 8
     torque_scale: float = 0.1
 
     def __post_init__(self):
         if self.friction <= 0:
             raise ContactError("friction must be positive")
-        if self.rank_eps <= 0:
-            raise ContactError("rank_eps must be positive")
         if self.cone_edges < 3:
             raise ContactError("cone_edges must be >= 3")
 
@@ -161,7 +161,7 @@ def force_closure(contacts: list[Contact], params: ForceClosureParams | None = N
     GG = G @ G.T
     eigs = np.linalg.eigvalsh(GG)
     min_eig = float(eigs[0])
-    rank_ok = min_eig > params.rank_eps
+    rank_ok = min_eig > _RANK_EPS
     # wrench of each cone edge: columns of G E, shape (6, m*k)
     wrench_cols = []
     for i, c in enumerate(contacts):

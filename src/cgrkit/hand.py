@@ -11,11 +11,18 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .contacts import Contact
-from .geometry import PointCloud, TriangleMesh, frame_array, load_mesh, voxelize_mesh
+from .geometry import PointCloud, TriangleMesh, VoxelGrid, frame_array, load_mesh, voxelize_mesh
+
+# edge of the voxels that hand collision meshes are checked in
+COLLISION_VOXEL = 0.005
+# values after the key on each grasp_type field line of a .hand file that
+# takes a fixed number
+_FIELD_VALUES = {"approach": 3, "closing": 3, "max_close_travel": 1, "collision_mesh": 1, "fingertip": 6}
 
 
 class HandError(ValueError):
@@ -47,8 +54,6 @@ class GraspTypeSpec:
     max_close_travel: float
     # hand-frame basis (closing, approach x closing, approach) as columns
     basis: np.ndarray = field(init=False, repr=False, compare=False)
-    # solid voxel grid of collision_mesh per voxel size, built on first use
-    _collision_grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _collision_bounds: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -69,6 +74,12 @@ class GraspTypeSpec:
         c_perp /= np.linalg.norm(c_perp)
         self.basis = np.column_stack([c_perp, np.cross(a, c_perp), a])
         self._collision_bounds = self.collision_mesh.bounds()
+
+    @cached_property
+    def collision_grid(self) -> VoxelGrid:
+        """collision_mesh voxelized at COLLISION_VOXEL and filled, built on
+        first use: the hand is a solid, so points fully inside collide too."""
+        return voxelize_mesh(self.collision_mesh, COLLISION_VOXEL).filled()
 
 
 @dataclass
@@ -157,16 +168,18 @@ def load_hand_spec(path) -> HandSpec:
                     types.append(finish(cur))
                     cur = None
                 elif cur is not None:
+                    if key in _FIELD_VALUES and len(args) != _FIELD_VALUES[key]:
+                        raise HandError(f"'{key}' takes {_FIELD_VALUES[key]} values, got {len(args)}")
                     if key == "name":
                         cur["name"] = " ".join(args)
                     elif key in ("approach", "closing"):
-                        cur[key] = [float(x) for x in args[:3]]
+                        cur[key] = [float(x) for x in args]
                     elif key == "max_close_travel":
                         cur["max_close_travel"] = float(args[0])
                     elif key == "collision_mesh":
                         cur["collision_mesh"] = args[0]
                     elif key == "fingertip":
-                        vals = [float(x) for x in args[:6]]
+                        vals = [float(x) for x in args]
                         cur["fingertips"].append(FingertipRay(vals[:3], vals[3:]))
                     else:
                         raise HandError(f"unknown field '{key}'")
@@ -188,21 +201,11 @@ def aligned_poses(anchors: np.ndarray, gt: GraspTypeSpec) -> np.ndarray:
     return frame_array(anchors[:, :, :3] @ gt.basis.T, anchors[:, :, 3])
 
 
-def _hand_voxel_grid(gt: GraspTypeSpec, voxel_size: float):
-    if voxel_size not in gt._collision_grids:
-        # filled: the hand is a solid; points fully inside must collide too
-        gt._collision_grids[voxel_size] = voxelize_mesh(gt.collision_mesh, voxel_size).filled()
-    return gt._collision_grids[voxel_size]
-
-
-def hand_scene_collisions(poses: np.ndarray, gt: GraspTypeSpec, scene_cloud: PointCloud,
-                          voxel_size: float = 0.005) -> np.ndarray:
+def hand_scene_collisions(poses: np.ndarray, gt: GraspTypeSpec, scene_cloud: PointCloud) -> np.ndarray:
     """(C,) bool: does any scene point land inside an occupied voxel of the
     collision mesh of grasp type gt posed at each of C [R | t] poses (C, 3, 4)?
     The mesh is voxelized once in the hand frame and scene points are mapped
     into each pose's frame; rigid motion preserves the test."""
-    if voxel_size <= 0:
-        raise HandError("voxel_size must be positive")
     hits = np.zeros(len(poses), dtype=bool)
     if len(scene_cloud) == 0 or len(poses) == 0:
         return hits
@@ -215,21 +218,16 @@ def hand_scene_collisions(poses: np.ndarray, gt: GraspTypeSpec, scene_cloud: Poi
     lo, hi = gt._collision_bounds
     near = np.ones((len(poses), len(scene_cloud)), dtype=bool)
     for j in range(3):
-        near &= (local[:, j] >= lo[j] - voxel_size) & (local[:, j] <= hi[j] + voxel_size)
+        near &= (local[:, j] >= lo[j] - COLLISION_VOXEL) & (local[:, j] <= hi[j] + COLLISION_VOXEL)
     c, p = np.nonzero(near)
     if len(c):
-        hits[c[_hand_voxel_grid(gt, voxel_size).contains_points(local[c, :, p])]] = True
+        hits[c[gt.collision_grid.contains_points(local[c, :, p])]] = True
     return hits
 
 
-def hand_scene_collision(
-    candidate: GraspCandidate,
-    gt: GraspTypeSpec,
-    scene_cloud: PointCloud,
-    voxel_size: float = 0.005,
-) -> bool:
+def hand_scene_collision(candidate: GraspCandidate, gt: GraspTypeSpec, scene_cloud: PointCloud) -> bool:
     """hand_scene_collisions for one candidate."""
-    return bool(hand_scene_collisions(candidate.pose[None], gt, scene_cloud, voxel_size)[0])
+    return bool(hand_scene_collisions(candidate.pose[None], gt, scene_cloud)[0])
 
 
 def fingertip_contacts(

@@ -20,8 +20,15 @@ from .geometry import _read_exact
 
 MODEL_MAGIC = b"CGRKNN1\0"
 
+N_LAYERS = 7
 SKIP_FROM = 1  # output of layer 2 (0-based index 1)
 SKIP_TO = 4  # input of layer 5 (0-based index 4)
+
+BATCH_SIZE = 128
+# training multiplies the learning rate by DECAY_FACTOR at the start of each
+# of the DECAY_EPOCHS (1-based)
+DECAY_EPOCHS = (10, 15)
+DECAY_FACTOR = 0.5
 
 _P_CLAMP = 1e-7
 _BN_EPS = 1e-5
@@ -71,17 +78,17 @@ class ModelParams:
         return out
 
 
-def init_model(seed: int = 0, input_dim: int = 480, hidden: int = 1024, n_layers: int = 7) -> ModelParams:
+def init_model(seed: int = 0, input_dim: int = 480, hidden: int = 1024) -> ModelParams:
     """Fan-in-scaled uniform weights, zero biases, identity normalization."""
     rng = np.random.default_rng(seed)
-    dims = [input_dim] + [hidden] * (n_layers - 1) + [1]
+    dims = [input_dim] + [hidden] * (N_LAYERS - 1) + [1]
     weights, biases = [], []
-    for i in range(n_layers):
+    for i in range(N_LAYERS):
         fan_in = dims[i]
         bound = np.sqrt(6.0 / fan_in)
         weights.append(rng.uniform(-bound, bound, size=(dims[i], dims[i + 1])))
         biases.append(np.zeros(dims[i + 1]))
-    n_bn = n_layers - 1
+    n_bn = N_LAYERS - 1
     return ModelParams(
         weights,
         biases,
@@ -207,16 +214,13 @@ def gradients(model: ModelParams, x: np.ndarray, y: np.ndarray, training: bool =
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 20
-    batch_size: int = 128
     learning_rate: float = 1e-4
-    decay_epochs: tuple = (10, 15)
-    decay_factor: float = 0.5
     seed: int = 0
     hidden: int = 1024
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.learning_rate <= 0:
-            raise ModelError("epochs, batch_size, learning_rate must be positive")
+        if self.epochs < 1 or self.learning_rate <= 0:
+            raise ModelError("epochs, learning_rate must be positive")
 
 
 @dataclass
@@ -231,7 +235,6 @@ def train(
     labels: np.ndarray,
     config: TrainConfig | None = None,
     holdout: tuple | None = None,
-    model: ModelParams | None = None,
     warn=print,
 ) -> tuple[ModelParams, list[EpochLog]]:
     """Adam training loop over shuffled mini-batches; deterministic per seed."""
@@ -241,8 +244,7 @@ def train(
     classes = np.unique(labels)
     if len(classes) < 2:
         warn("warning: training data contains a single class")
-    if model is None:
-        model = init_model(config.seed, input_dim=features.shape[1], hidden=config.hidden)
+    model = init_model(config.seed, input_dim=features.shape[1], hidden=config.hidden)
     rng = np.random.default_rng(config.seed)
     params = model.flat_parameters()
     m1 = {name: np.zeros_like(arr) for name, arr in params}
@@ -253,12 +255,12 @@ def train(
     logs = []
     n = len(features)
     for epoch in range(1, config.epochs + 1):
-        if epoch in config.decay_epochs:
-            lr *= config.decay_factor
+        if epoch in DECAY_EPOCHS:
+            lr *= DECAY_FACTOR
         order = rng.permutation(n)
         epoch_losses = []
-        for s in range(0, n, config.batch_size):
-            idx = order[s:s + config.batch_size]
+        for s in range(0, n, BATCH_SIZE):
+            idx = order[s:s + BATCH_SIZE]
             if len(idx) < 2:
                 continue  # batch statistics need at least 2 samples
             xb, yb = features[idx], labels[idx]

@@ -36,6 +36,11 @@ from .hand import (
 from .model import DecisionBank, forward
 
 TRIALS_MAGIC = b"CGRKTR1\0"
+# surface samples per instance in the scene cloud that poses are
+# collision-checked against, in collection and in detection
+_SCENE_CLOUD_POINTS = 1500
+# collection attempts allowed per requested trial before it reports a stall
+_ATTEMPTS_PER_TRIAL = 50
 
 
 class PipelineError(ValueError):
@@ -106,9 +111,6 @@ class CollectionConfig:
     target_size: int = 400
     friction_range: tuple = (0.2, 0.8)
     seed: int = 0
-    balance_types: bool = True
-    collision_voxel: float = 0.005
-    max_attempts_factor: int = 50
 
     def __post_init__(self):
         if self.target_size < 1:
@@ -139,8 +141,9 @@ def collect(
     """Trial-and-error loop over pre-annotated scenes.
 
     annotated_scenes: list of (Scene, CgrDataset) pairs. Each iteration
-    samples a valid CGR and a grasp type, skips colliding poses, executes
-    the oracle at a per-trial friction and records the outcome.
+    samples a valid CGR and a grasp type among those below their share of
+    the target, skips colliding poses, executes the oracle at a per-trial
+    friction and records the outcome.
     """
     if not annotated_scenes:
         raise PipelineError("no annotated scenes")
@@ -153,12 +156,12 @@ def collect(
     for scene, ds in annotated_scenes:
         usable = np.flatnonzero(ds.valid & (best_antipodal_scores(ds.grids, ds.params.grid) > 0.0))
         cands = _candidates(ds, usable, hand).reshape(len(usable), len(hand.grasp_types))
-        prepared.append((scene, ds, cands, scene.surface_cloud(1500, seed=config.seed)))
+        prepared.append((scene, ds, cands, scene.surface_cloud(_SCENE_CLOUD_POINTS, seed=config.seed)))
     if all(not len(cands) for _, _, cands, _ in prepared):
         raise PipelineError("no valid CGR in any scene")
     no_cgr = collided = 0  # skipped attempts, by reason
     attempts = 0
-    max_attempts = config.max_attempts_factor * config.target_size
+    max_attempts = _ATTEMPTS_PER_TRIAL * config.target_size
     while len(records) < config.target_size:
         attempts += 1
         if attempts > max_attempts:
@@ -171,14 +174,11 @@ def collect(
             no_cgr += 1
             continue
         row = rng.integers(0, len(cands))
-        if config.balance_types:
-            open_types = [t for t, c in sorted(type_counts.items()) if c < per_type]
-            type_id = open_types[rng.integers(0, len(open_types))]
-        else:
-            type_id = int(rng.integers(0, len(hand.grasp_types)))
+        open_types = [t for t, c in sorted(type_counts.items()) if c < per_type]
+        type_id = open_types[rng.integers(0, len(open_types))]
         cand = cands[row, type_id]
         candidate = _grasp_candidate(ds, cand)
-        if hand_scene_collision(candidate, hand.type(type_id), cloud, config.collision_voxel):
+        if hand_scene_collision(candidate, hand.type(type_id), cloud):
             collided += 1
             continue
         friction = float(rng.uniform(*config.friction_range))
@@ -197,8 +197,6 @@ def collect(
 class DetectionConfig:
     top_cgr: int = 100
     top_candidates: int = 200
-    collision_voxel: float = 0.005
-    scene_cloud_points: int = 1500
 
     def __post_init__(self):
         if self.top_cgr < 1 or self.top_candidates < 1:
@@ -213,20 +211,19 @@ def _ranked_cgrs(dataset: CgrDataset, k: int) -> np.ndarray:
     return rows[np.argsort(-scores[rows], kind="stable")[:k]]
 
 
-# one grasp candidate: its dataset row, grasp type, the winning antipodal
-# entry (angle and section indices, score) and the aligned hand pose [R | t]
-_CANDIDATE = np.dtype([("row", np.intp), ("type", np.intp), ("angle", np.intp), ("section", np.intp),
-                       ("score", float), ("pose", float, (3, 4))])
+# one grasp candidate: its dataset row, grasp type, the score of the winning
+# antipodal entry and the aligned hand pose [R | t]
+_CANDIDATE = np.dtype([("row", np.intp), ("type", np.intp), ("score", float), ("pose", float, (3, 4))])
 
 
 def _candidates(dataset: CgrDataset, rows: np.ndarray, hand: HandSpec) -> np.ndarray:
     """One candidate per row and grasp type, row-major, all of a row's
     types anchored at its best antipodal pose."""
-    anchors, angle, section, score = best_grasp_poses(dataset.frames[rows], dataset.grids[rows], dataset.params.grid)
+    anchors, _, _, score = best_grasp_poses(dataset.frames[rows], dataset.grids[rows], dataset.params.grid)
     out = np.zeros((len(rows), len(hand.grasp_types)), _CANDIDATE)
     out["type"] = [gt.id for gt in hand.grasp_types]
-    for name, value in (("row", rows), ("angle", angle), ("section", section), ("score", score)):
-        out[name] = value[:, None]
+    out["row"] = rows[:, None]
+    out["score"] = score[:, None]
     for gt in hand.grasp_types:
         out["pose"][:, gt.id] = aligned_poses(anchors, gt)
     return out.reshape(-1)
@@ -243,15 +240,15 @@ def _grasp_candidate(dataset: CgrDataset, cand, decision_score: float | None = N
                           int(dataset.instance[cand["row"]]))
 
 
-def _collision_free(dataset: CgrDataset, shortlist: np.ndarray, hand: HandSpec, scene: Scene, config: DetectionConfig,
+def _collision_free(dataset: CgrDataset, shortlist: np.ndarray, hand: HandSpec, scene: Scene,
                     max_results: int | None, decision: np.ndarray | None = None) -> list[GraspCandidate]:
     """The first max_results collision-free candidates of the shortlist, in
     order; one collision pass per grasp type."""
-    cloud = scene.surface_cloud(config.scene_cloud_points, seed=0)
+    cloud = scene.surface_cloud(_SCENE_CLOUD_POINTS, seed=0)
     free = np.zeros(len(shortlist), dtype=bool)
     for gt in hand.grasp_types:
         of_type = shortlist["type"] == gt.id
-        free[of_type] = ~hand_scene_collisions(shortlist["pose"][of_type], gt, cloud, config.collision_voxel)
+        free[of_type] = ~hand_scene_collisions(shortlist["pose"][of_type], gt, cloud)
     return [_grasp_candidate(dataset, shortlist[i], None if decision is None else float(decision[i]))
             for i in np.flatnonzero(free)[:max_results]]
 
@@ -263,7 +260,6 @@ def detect(
     config: DetectionConfig | None = None,
     dataset: CgrDataset | None = None,
     annotation: AnnotationParams | None = None,
-    cache: dict | None = None,
     max_results: int | None = None,
 ) -> list[GraspCandidate]:
     """Decision-model pipeline: top-K1 CGRs by antipodal score, one
@@ -272,7 +268,7 @@ def detect(
     order)."""
     config = config or DetectionConfig()
     if dataset is None:
-        dataset = annotate_scene(scene, annotation, cache=cache)
+        dataset = annotate_scene(scene, annotation)
     cands = _expand_candidates(dataset, hand, config.top_cgr)
     if not len(cands):
         return []
@@ -284,7 +280,7 @@ def detect(
         of_type = cands["type"] == gt.id
         decision[of_type] = forward(model, dataset.grids[cands["row"][of_type]].reshape(of_type.sum(), -1))
     order = np.lexsort((-cands["score"], -decision))[: config.top_candidates]
-    return _collision_free(dataset, cands[order], hand, scene, config, max_results, decision[order])
+    return _collision_free(dataset, cands[order], hand, scene, max_results, decision[order])
 
 
 def detect_baseline(
@@ -293,7 +289,6 @@ def detect_baseline(
     config: DetectionConfig | None = None,
     dataset: CgrDataset | None = None,
     annotation: AnnotationParams | None = None,
-    cache: dict | None = None,
     seed: int = 0,
     max_results: int | None = None,
 ) -> list[GraspCandidate]:
@@ -302,13 +297,13 @@ def detect_baseline(
     filtered."""
     config = config or DetectionConfig()
     if dataset is None:
-        dataset = annotate_scene(scene, annotation, cache=cache)
+        dataset = annotate_scene(scene, annotation)
     cands = _expand_candidates(dataset, hand, config.top_cgr)
     if not len(cands):
         return []
     jitter = np.random.default_rng(seed).random(len(cands))
     order = np.lexsort((jitter, -cands["score"]))[: config.top_candidates]
-    return _collision_free(dataset, cands[order], hand, scene, config, max_results)
+    return _collision_free(dataset, cands[order], hand, scene, max_results)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from cgrkit.geometry import (
     rotation_z,
     sample_surface_points,
 )
-from cgrkit.hand import GraspTypeSpec, HandSpec, _hand_voxel_grid, load_hand_spec
+from cgrkit.hand import GraspTypeSpec, HandSpec, load_hand_spec
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -62,16 +62,17 @@ def reference_alignment(R, gt):
     return R @ np.column_stack([c_perp, np.cross(a, c_perp), a]).T
 
 
-def reference_collision(R, t, gt, points, voxel_size):
+def reference_collision(R, t, gt, points):
     """Does any point land in the solid palm of gt posed at (R, t)?"""
     if len(points) == 0:
         return False
     local = RigidTransform(R, t).inverse().apply(points)
     lo, hi = gt.collision_mesh.bounds()
-    near = np.all((local >= lo - voxel_size) & (local <= hi + voxel_size), axis=1)
+    grid = gt.collision_grid
+    near = np.all((local >= lo - grid.voxel_size) & (local <= hi + grid.voxel_size), axis=1)
     if not near.any():
         return False
-    return bool(_hand_voxel_grid(gt, voxel_size).contains_points(local[near]).any())
+    return bool(grid.contains_points(local[near]).any())
 
 
 def reference_patches(obj, params, seed=0, object_id=""):

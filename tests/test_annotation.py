@@ -73,6 +73,36 @@ def test_compose_scene_errors(tmp_path):
     (tmp_path / "bad2.scene").write_text("instance box 1 0 0 0 0 0 0\n")
     with pytest.raises(AnnotationError):
         compose_scene(tmp_path / "bad2.scene")
+    (tmp_path / "bad3.scene").write_text("table 0 0 0   0 0 0\n")
+    with pytest.raises(AnnotationError):
+        compose_scene(tmp_path / "bad3.scene")
+
+
+@pytest.mark.parametrize("line", [
+    "mesh box",
+    "mesh box box.obj spare.obj",
+    "instance box 1 0 0",
+    "instance box 1 0 0 0   0 0 0.025 7",
+    "table 0 0 0   0 0",
+    "table 0 0 0   0 0 1 1",
+])
+def test_compose_scene_checks_value_counts(tmp_path, line):
+    save_obj(make_box((0.05, 0.05, 0.05)), tmp_path / "box.obj")
+    (tmp_path / "s.scene").write_text(f"mesh box box.obj\n{line}\n")
+    with pytest.raises(AnnotationError, match=rf"s\.scene:2: '{line.split()[0]}' takes \d values, got \d"):
+        compose_scene(tmp_path / "s.scene")
+
+
+@pytest.mark.parametrize("point, normal", [
+    ((0, 0, 0), (0, 0, 0)),
+    ((0, 0, 0), (0, 0, np.nan)),
+    ((0, 0, 0), (np.inf, 0, 1)),
+    ((0, np.nan, 0), (0, 0, 1)),
+    ((np.inf, 0, 0), (0, 0, 1)),
+])
+def test_scene_rejects_bad_table(point, normal):
+    with pytest.raises(AnnotationError):
+        Scene([], np.array(point, float), np.array(normal, float), {})
 
 
 def test_scene_helpers(box_scene):

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from cgrkit.annotation import read_dataset
+from cgrkit.annotation import AnnotationParams, annotate_scene, compose_scene, read_dataset, write_dataset
 from cgrkit.cgr import CgrGridParams
 from cgrkit.cli import _read_config, cli
 from cgrkit.geometry import make_box, make_cylinder, save_obj
@@ -87,6 +87,11 @@ def test_missing_scene_file_exits_2(tmp_path):
     )
 
 
+def test_short_scene_line_exits_2(work, tmp_path):
+    (tmp_path / "short.scene").write_text(f"mesh box {work / 'box.obj'}\ninstance box 1 0 0\n")
+    assert cli(["annotate", "--scene", str(tmp_path / "short.scene"), "--out", str(tmp_path / "o.bin")]) == 2
+
+
 def test_truncated_mesh_exits_2(tmp_path):
     (tmp_path / "short.stl").write_bytes(b"\0" * 40)
     (tmp_path / "list.txt").write_text("short short.stl\n")
@@ -117,6 +122,19 @@ def test_annotate_command(work, capsys):
     ds = read_dataset(out)
     assert len(ds.records) > 0
     assert ds.valid.any()
+
+
+def test_annotate_defaults_are_the_library_defaults(tmp_path):
+    """Given only --scene and --out, annotate writes what AnnotationParams()
+    gives; the dataset header records every annotation parameter."""
+    save_obj(make_box((0.002, 0.002, 0.002)), tmp_path / "bead.obj")
+    scene = tmp_path / "bead.scene"
+    scene.write_text("mesh bead bead.obj\ninstance bead 1 0 0 0   0 0 0.1\ntable 0 0 0   0 0 1\n")
+    assert cli(["annotate", "--scene", str(scene), "--out", str(tmp_path / "cli.ds")]) == 0
+    ds = annotate_scene(compose_scene(scene), AnnotationParams())
+    assert ds.valid.any()
+    write_dataset(ds, tmp_path / "lib.ds")
+    assert (tmp_path / "cli.ds").read_bytes() == (tmp_path / "lib.ds").read_bytes()
 
 
 def test_collect_train_detect_eval_chain(work, capsys):

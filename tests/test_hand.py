@@ -19,7 +19,6 @@ from cgrkit.hand import (
     GraspTypeSpec,
     HandError,
     HandSpec,
-    _hand_voxel_grid,
     aligned_poses,
     fingertip_contacts,
     hand_scene_collision,
@@ -58,11 +57,7 @@ def _write_hand(tmp_path, body):
     return path
 
 
-def test_parse_minimal_hand(tmp_path):
-    path = _write_hand(
-        tmp_path,
-        """
-name test hand
+MINIMAL_HAND = """name test hand
 grasp_type 0
   name pinch
   approach 0 0 1
@@ -72,9 +67,11 @@ grasp_type 0
   fingertip 0.05 0 0  -1 0 0
   fingertip -0.05 0 0  1 0 0
 end
-""",
-    )
-    hand = load_hand_spec(path)
+"""
+
+
+def test_parse_minimal_hand(tmp_path):
+    hand = load_hand_spec(_write_hand(tmp_path, MINIMAL_HAND))
     assert hand.name == "test hand"
     assert len(hand.grasp_types) == 1
     gt = hand.type(0)
@@ -97,6 +94,24 @@ def test_parse_errors(tmp_path):
         load_hand_spec(_write_hand(tmp_path, "grasp_type 0\n name x\n"))
     with pytest.raises(HandError):  # unknown directive
         load_hand_spec(_write_hand(tmp_path, "swivel 3\n"))
+
+
+@pytest.mark.parametrize("line", [
+    "approach 0 0",
+    "approach 0 0 1 1",
+    "closing 1 0",
+    "max_close_travel 0.1 0.2",
+    "collision_mesh palm.obj spare.obj",
+    "fingertip 0.05 0 0  -1 0",
+    "fingertip 0.05 0 0  -1 0 0 7",
+])
+def test_parse_checks_value_counts(tmp_path, line):
+    key = line.split()[0]
+    lines = MINIMAL_HAND.splitlines()
+    lineno = next(n for n, text in enumerate(lines, 1) if text.split()[0] == key)
+    lines[lineno - 1] = line
+    with pytest.raises(HandError, match=rf"test\.hand:{lineno}: '{key}' takes \d values, got \d"):
+        load_hand_spec(_write_hand(tmp_path, "\n".join(lines) + "\n"))
 
 
 def test_spec_validation():
@@ -184,10 +199,10 @@ def test_collision_detects_points_in_palm(hand3):
     cand = _pinch_candidate(hand3)
     lo, hi = gt.collision_mesh.bounds()
     inside = PointCloud(((lo + hi) / 2)[None, :])
-    assert hand_scene_collision(cand, gt, inside, voxel_size=0.005)
+    assert hand_scene_collision(cand, gt, inside)
     far = PointCloud(np.array([[0.5, 0.5, 0.5]]))
-    assert not hand_scene_collision(cand, gt, far, voxel_size=0.005)
-    assert not hand_scene_collision(cand, gt, PointCloud(np.zeros((0, 3))), 0.005)
+    assert not hand_scene_collision(cand, gt, far)
+    assert not hand_scene_collision(cand, gt, PointCloud(np.zeros((0, 3))))
 
 
 def test_collision_grid_belongs_to_its_spec(hand3):
@@ -205,7 +220,7 @@ def test_collision_grid_belongs_to_its_spec(hand3):
     for palm in [solid, plates] * 3:
         mesh = TriangleMesh(palm.vertices, palm.triangles)
         gt = GraspTypeSpec(0, "x", [1, 0, 0], [0, 0, 1], [ray, ray], mesh, 0.1)
-        answers.append(hand_scene_collision(cand, gt, probe, 0.005))
+        answers.append(hand_scene_collision(cand, gt, probe))
         del gt, mesh
     assert answers == [True, False] * 3
 
@@ -217,7 +232,8 @@ def test_batched_collision_matches_per_pose(hand3):
     voxel = 0.005
     for gt in hand3.grasp_types:
         lo, hi = gt.collision_mesh.bounds()
-        grid = _hand_voxel_grid(gt, voxel)
+        grid = gt.collision_grid
+        assert grid.voxel_size == voxel
         # face points: every corner of the voxel lattice around the palm
         axes = [grid.origin[a] + voxel * np.arange(grid.offset[a] - 1, grid.offset[a] + grid.mask.shape[a] + 2)
                 for a in range(3)]
@@ -229,11 +245,11 @@ def test_batched_collision_matches_per_pose(hand3):
         moved = [frame_array(random_rotation(rng), rng.uniform(-0.02, 0.02, 3)) for _ in range(40)]
         poses = np.array(exact + moved)
         for points in (faces, scattered, np.zeros((0, 3))):
-            got = hand_scene_collisions(poses, gt, PointCloud(points), voxel)
-            want = [reference_collision(p[:, :3].copy(), p[:, 3], gt, points, voxel) for p in poses]
+            got = hand_scene_collisions(poses, gt, PointCloud(points))
+            want = [reference_collision(p[:, :3].copy(), p[:, 3], gt, points) for p in poses]
             assert got.tolist() == want
             assert got.any() == (len(points) > 0) and not got[3:].all()
-        assert hand_scene_collisions(poses[:0], gt, PointCloud(faces), voxel).shape == (0,)
+        assert hand_scene_collisions(poses[:0], gt, PointCloud(faces)).shape == (0,)
 
 
 def test_collision_equivariant_under_pose(hand3):
@@ -243,12 +259,12 @@ def test_collision_equivariant_under_pose(hand3):
     pts = rng.uniform(lo - 0.02, hi + 0.02, (200, 3))
     base = _pinch_candidate(hand3)
     want = [
-        hand_scene_collision(base, gt, PointCloud(p[None, :]), 0.005) for p in pts
+        hand_scene_collision(base, gt, PointCloud(p[None, :])) for p in pts
     ]
     tf = random_transform(rng)
     moved = _pinch_candidate(hand3, rotation=tf.rotation, translation=tf.translation)
     got = [
-        hand_scene_collision(moved, gt, PointCloud(tf.apply(p)[None, :]), 0.005)
+        hand_scene_collision(moved, gt, PointCloud(tf.apply(p)[None, :]))
         for p in pts
     ]
     assert got == want

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from cgrkit.model import (
+    BATCH_SIZE,
+    DECAY_EPOCHS,
+    DECAY_FACTOR,
     SKIP_FROM,
     SKIP_TO,
     DecisionBank,
@@ -26,7 +29,7 @@ from cgrkit.model import (
 
 
 def test_init_model_shapes():
-    m = init_model(seed=0, input_dim=480, hidden=1024, n_layers=7)
+    m = init_model(seed=0, input_dim=480, hidden=1024)
     assert m.n_layers == 7
     assert m.weights[0].shape == (480, 1024)
     for w in m.weights[1:-1]:
@@ -186,10 +189,10 @@ def test_training_warns_on_single_class():
 
 def test_learning_rate_decay_applied():
     config = TrainConfig()
-    assert config.decay_epochs == (10, 15)
-    assert config.decay_factor == 0.5
+    assert DECAY_EPOCHS == (10, 15)
+    assert DECAY_FACTOR == 0.5
     assert config.epochs == 20
-    assert config.batch_size == 128
+    assert BATCH_SIZE == 128
     assert config.learning_rate == 1e-4
 
 

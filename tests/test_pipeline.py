@@ -6,7 +6,7 @@ import pytest
 
 from cgrkit import pipeline
 from cgrkit.annotation import AnnotationParams, annotate_scene, read_dataset, write_dataset
-from cgrkit.cgr import CgrGridParams, query_grasp_pose
+from cgrkit.cgr import CgrGridParams, best_grasp_poses, query_grasp_pose
 from cgrkit.geometry import frame_array, make_box, make_cylinder
 from cgrkit.hand import GraspCandidate, aligned_poses
 from cgrkit.model import DecisionBank, TrainConfig, forward, train
@@ -165,7 +165,7 @@ def test_collect_balanced_counts(trials0, hand3):
         counts[rec.grasp_type_id] += 1
         assert rec.outcome in (0, 1)
         assert 0.2 <= rec.friction <= 0.8
-    # balance_types: ceil(80 / 4) per type
+    # balanced types: ceil(80 / 4) per type
     assert all(c == 20 for c in counts.values())
     # at least one grasp type succeeds sometimes and one never does
     assert any(rec.outcome == 1 for rec in trials0)
@@ -188,7 +188,7 @@ def test_collect_stall_reports_skip_reasons(scene0, dataset0, hand3, monkeypatch
     pose is counted in the stall error."""
     empty = replace(dataset0, valid=np.zeros(len(dataset0), bool))
     monkeypatch.setattr(pipeline, "hand_scene_collision", lambda *args: True)
-    config = CollectionConfig(target_size=2, max_attempts_factor=50)
+    config = CollectionConfig(target_size=2)
     with pytest.raises(PipelineError) as err:
         collect(config, [(scene0, dataset0), (scene0, empty)], hand3)
     counts = [int(n) for n in
@@ -228,13 +228,14 @@ def test_candidates_match_per_cgr_path(tmp_path, dataset0, hand3, oblique_hand):
     for ds, hand in ((dataset0, hand3), (dataset0, oblique_hand), (read_dataset(tmp_path / "ds.bin"), oblique_hand)):
         candidates = _expand_candidates(ds, hand, 100)
         assert len(candidates) == 4 * len(_ranked_cgrs(ds, 100)) > 0
-        for cand in candidates:
+        _, angle, section, _ = best_grasp_poses(ds.frames[candidates["row"]], ds.grids[candidates["row"]], ds.params.grid)
+        for cand, a, s in zip(candidates, angle, section):
             cgr = ds.cgr(cand["row"])
             R, t, i, j, score = reference_grasp_pose(cgr)
             gt = hand.type(cand["type"])
             q = query_grasp_pose(cgr)
             single = aligned_poses(frame_array(q.rotation, q.translation)[None], gt)[0]
-            assert (cand["angle"], cand["section"], cand["score"]) == (i, j, score)
+            assert (a, s, cand["score"]) == (i, j, score)
             for rotation in (reference_alignment(R, gt), single[:, :3]):
                 assert np.array_equal(cand["pose"][:, :3], rotation)
             for translation in (t, single[:, 3]):
@@ -259,10 +260,10 @@ def _reference_detect(scene, hand, ds, config, max_results, bank=None, seed=0):
     else:
         jitter = np.random.default_rng(seed).random(len(cands))
         order = sorted(range(len(cands)), key=lambda i: (-cands[i]["score"], jitter[i]))
-    points = scene.surface_cloud(config.scene_cloud_points, seed=0).points
+    points = scene.surface_cloud(1500, seed=0).points
     out = []
     for c in (cands[i] for i in order[: config.top_candidates]):
-        if not reference_collision(c["R"], c["t"], hand.type(c["type"]), points, config.collision_voxel):
+        if not reference_collision(c["R"], c["t"], hand.type(c["type"]), points):
             out.append(c)
             if max_results is not None and len(out) == max_results:
                 break
