@@ -51,6 +51,16 @@ class SceneInstance:
     pose: RigidTransform
 
 
+def _table_plane(point, normal) -> tuple[np.ndarray, np.ndarray]:
+    """The table's point and unit normal; both finite, the normal nonzero."""
+    point = np.asarray(point, dtype=float).reshape(3)
+    n = np.asarray(normal, dtype=float).reshape(3)
+    ln = np.linalg.norm(n)
+    if not (np.isfinite(point).all() and np.isfinite(ln) and ln > 1e-12):
+        raise AnnotationError("table point and normal must be finite and the normal nonzero")
+    return point, n / ln
+
+
 @dataclass
 class Scene:
     instances: list[SceneInstance]
@@ -61,12 +71,7 @@ class Scene:
     _clouds: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.table_point = np.asarray(self.table_point, dtype=float).reshape(3)
-        n = np.asarray(self.table_normal, dtype=float).reshape(3)
-        ln = np.linalg.norm(n)
-        if not (np.isfinite(self.table_point).all() and np.isfinite(ln) and ln > 1e-12):
-            raise AnnotationError("table point and normal must be finite and the normal nonzero")
-        self.table_normal = n / ln
+        self.table_point, self.table_normal = _table_plane(self.table_point, self.table_normal)
         for inst in self.instances:
             if inst.mesh_id not in self.meshes:
                 raise AnnotationError(f"unresolved mesh id '{inst.mesh_id}'")
@@ -161,6 +166,7 @@ def compose_scene(path) -> Scene:
                     vals = [float(x) for x in args]
                     table_point = np.array(vals[:3])
                     table_normal = np.array(vals[3:])
+                    _table_plane(table_point, table_normal)  # checked here so the error names this line
             except ValueError as exc:  # AnnotationError and bad numbers alike
                 raise AnnotationError(f"{path}:{lineno}: {exc}") from exc
     return Scene(instances, table_point, table_normal, meshes)

@@ -21,6 +21,9 @@ _RANK_EPS = 1e-3
 # phase-1 simplex pivots allowed per tableau column; Bland's rule cannot
 # cycle, so reaching the cap means the tableau has gone numerically wrong
 _PIVOT_CAP = 200
+# contact positions are divided by this length (m) in the grasp matrix, so
+# torques and forces have comparable magnitudes
+TORQUE_SCALE = 0.1
 
 
 class ContactError(ValueError):
@@ -52,7 +55,6 @@ class Contact:
 class ForceClosureParams:
     friction: float = 0.5
     cone_edges: int = 8
-    torque_scale: float = 0.1
 
     def __post_init__(self):
         if self.friction <= 0:
@@ -66,7 +68,7 @@ def cross_matrix(p: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def grasp_matrix(contacts: list[Contact], torque_scale: float = 0.1) -> np.ndarray:
+def grasp_matrix(contacts: list[Contact], torque_scale: float = TORQUE_SCALE) -> np.ndarray:
     """6 x 3m map from stacked contact forces to net wrench; torques scaled
     by 1/torque_scale to keep units comparable."""
     if not contacts:
@@ -157,7 +159,7 @@ def force_closure(contacts: list[Contact], params: ForceClosureParams | None = N
     params = params or ForceClosureParams()
     if not contacts:
         raise ContactError("need at least one contact")
-    G = grasp_matrix(contacts, params.torque_scale)
+    G = grasp_matrix(contacts, TORQUE_SCALE)
     GG = G @ G.T
     eigs = np.linalg.eigvalsh(GG)
     min_eig = float(eigs[0])

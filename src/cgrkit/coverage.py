@@ -12,10 +12,11 @@ dense ones), so denser sampling provably produces a superset patch pool.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from .cgr import CgrGridParams, _antipodal, cgr_grids
 from .geometry import (
@@ -32,6 +33,18 @@ MASTER_DIRECTIONS = 300  # master spiral; presets take strided subsets
 MASTER_INPLANE = 12  # master in-plane angle count; presets take strided subsets
 
 DEFAULT_BOX_DIMS = (0.04, 0.04, 0.08)  # closing (x), width (y), approach (z)
+
+# A lower bound rules a pool patch out only when it reaches the cutoff plus
+# this slack, scaled by the largest coordinate magnitude where that exceeds 1:
+# bound and exact distance are both means of rounded terms, and their
+# rounding is far smaller.
+_BOUND_SLACK = 1e-12
+# probe-point x pool-point pairs per block of pool patches; bounds the dense
+# distance arrays of min_chamfer
+_PAIR_BLOCK = 1 << 20
+# probe-point strides of the exact forward passes: every third point prunes
+# most of what the boxes leave, then all points on the few that remain
+_EXACT_STRIDES = (3, 1)
 
 
 class CoverageError(ValueError):
@@ -79,6 +92,15 @@ class LocalGeometry:
     source_pose: np.ndarray  # (3, 4) box frame [R | t]
 
     _tree: cKDTree = None
+    bounds: np.ndarray = field(init=False, repr=False)  # (2, 3) min and max corner of points
+
+    def __post_init__(self):
+        self.points = np.asarray(self.points, dtype=float)
+        if self.points.ndim != 2 or self.points.shape[1] != 3 or len(self.points) == 0:
+            raise CoverageError(f"patch points must be a (P, 3) array with P >= 1, got shape {self.points.shape}")
+        self.bounds = np.array([self.points.min(0), self.points.max(0)])
+        if not np.isfinite(self.bounds).all():  # min and max carry any nan or inf
+            raise CoverageError("patch points must be finite")
 
     def tree(self) -> cKDTree:
         if self._tree is None:
@@ -164,20 +186,93 @@ def is_covered(
 def min_chamfer(
     test_patch: LocalGeometry, pool: list[LocalGeometry], stop_below: float | None = None
 ) -> float:
+    """Smallest symmetric chamfer distance from test_patch to a pool patch.
+
+    Without stop_below the result is exact: bit for bit the smallest KD-tree
+    chamfer over the pool. With stop_below the search stops at the first pool
+    patch, in pool order, within stop_below and returns its exact distance; a
+    result >= stop_below says only that no pool patch is within stop_below,
+    not how far the nearest one is (it may be inf).
+
+    Pool patches are ruled out by a cascade of lower bounds on the chamfer,
+    each compared with the cutoff (stop_below if given, else the best distance
+    so far) plus a slack of _BOUND_SLACK that covers rounding:
+
+    1. half the mean distance from the probe's points to each patch's bounding
+       box plus the mean distance from each patch's points to the probe's box;
+    2. the same with the forward distances measured exactly, first for every
+       _EXACT_STRIDES[0]-th probe point, then for all of them;
+    3. the KD-tree chamfer, in pool order, on the patches that remain.
+
+    The pool is taken in blocks of at most _PAIR_BLOCK point pairs.
+    """
+    q = test_patch.points
+    limit = np.inf if stop_below is None else stop_below
     best = np.inf
-    t_tree = test_patch.tree()
-    for patch in pool:
-        da, _ = patch.tree().query(test_patch.points)
-        fwd = float(np.mean(da))
-        if 0.5 * fwd >= best:  # symmetric chamfer >= fwd/2
-            continue
-        db, _ = t_tree.query(patch.points)
-        d = 0.5 * (fwd + float(np.mean(db)))
-        if d < best:
-            best = d
-            if stop_below is not None and best < stop_below:
-                return best
+    per_block = max(1, _PAIR_BLOCK // (len(q) * max((len(p.points) for p in pool), default=1)))
+    for start in range(0, len(pool), per_block):
+        block = pool[start:start + per_block]
+        live, lb, slack = _lower_bounds(test_patch, block, min(best, limit))
+        for i in live:
+            patch, cutoff = block[i], min(best, limit)
+            if lb[i] >= cutoff + slack:  # the best distance dropped since the bounds
+                continue
+            da, _ = patch.tree().query(q)
+            fwd = float(np.mean(da))
+            if 0.5 * fwd >= cutoff:  # symmetric chamfer >= fwd/2
+                continue
+            db, _ = test_patch.tree().query(patch.points)
+            d = 0.5 * (fwd + float(np.mean(db)))
+            if d < best:
+                best = d
+                if stop_below is not None and best < stop_below:
+                    return best
     return best
+
+
+def _lower_bounds(
+    test_patch: LocalGeometry, block: list[LocalGeometry], cutoff: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Bounds 1 and 2 of min_chamfer on each block patch: the indices of the
+    patches whose bound stays below cutoff plus the slack, in block order,
+    the bounds (exact forward distances included where computed) and the
+    slack."""
+    q = test_patch.points
+    boxes = np.array([p.bounds for p in block])
+    sizes = np.array([len(p.points) for p in block])
+    slack = _BOUND_SLACK * max(1.0, np.abs(boxes).max(), np.abs(test_patch.bounds).max())
+    fwd = _box_distances(q, boxes)
+    bwd = _box_distances(np.concatenate([p.points for p in block]), test_patch.bounds[None])[0]
+    bwd = np.add.reduceat(bwd, _offsets(sizes)) / sizes
+    lb = 0.5 * (fwd.mean(1) + bwd)
+    live = np.flatnonzero(lb < cutoff + slack)
+    for stride in _EXACT_STRIDES:
+        if len(live) == 0:
+            break
+        cols = np.arange(0, len(q), stride)
+        near = cdist(np.concatenate([block[i].points for i in live]), q[cols])
+        fwd[live[:, None], cols] = np.minimum.reduceat(near, _offsets(sizes[live]), axis=0)
+        lb[live] = 0.5 * (fwd[live].mean(1) + bwd[live])
+        live = live[lb[live] < cutoff + slack]
+    return live, lb, slack
+
+
+def _box_distances(points: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """(len(boxes), len(points)) distances from each point to each axis-aligned
+    box, 0 inside; boxes are (n, 2, 3) min and max corners. No more than the
+    distance to any point inside the box."""
+    sq = np.zeros((len(boxes), len(points)))
+    for k in range(3):
+        gap = np.maximum(boxes[:, 0, k, None] - points[:, k], points[:, k] - boxes[:, 1, k, None])
+        np.maximum(gap, 0.0, out=gap)
+        gap *= gap
+        sq += gap
+    return np.sqrt(sq, out=sq)
+
+
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    """Start row of each patch in its patches' concatenated points."""
+    return np.concatenate([[0], np.cumsum(sizes[:-1])])
 
 
 @dataclass

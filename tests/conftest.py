@@ -108,6 +108,25 @@ def reference_patches(obj, params, seed=0, object_id=""):
     return patches
 
 
+def reference_min_chamfer(test_patch, pool, stop_below=None):
+    """min_chamfer as one KD-tree chamfer per pool patch, in pool order,
+    skipping a patch only when half its forward mean reaches the best so far."""
+    best = np.inf
+    t_tree = test_patch.tree()
+    for patch in pool:
+        da, _ = patch.tree().query(test_patch.points)
+        fwd = float(np.mean(da))
+        if 0.5 * fwd >= best:  # symmetric chamfer >= fwd/2
+            continue
+        db, _ = t_tree.query(patch.points)
+        d = 0.5 * (fwd + float(np.mean(db)))
+        if d < best:
+            best = d
+            if stop_below is not None and best < stop_below:
+                return best
+    return best
+
+
 @pytest.fixture(scope="session")
 def cube():
     """Unit-scale test cube, 0.05 m on a side, centered at the origin."""

@@ -73,8 +73,8 @@ def test_compose_scene_errors(tmp_path):
     (tmp_path / "bad2.scene").write_text("instance box 1 0 0 0 0 0 0\n")
     with pytest.raises(AnnotationError):
         compose_scene(tmp_path / "bad2.scene")
-    (tmp_path / "bad3.scene").write_text("table 0 0 0   0 0 0\n")
-    with pytest.raises(AnnotationError):
+    (tmp_path / "bad3.scene").write_text("# flat\ntable 0 0 0   0 0 0\n")
+    with pytest.raises(AnnotationError, match=r"bad3\.scene:2: table point and normal must be finite"):
         compose_scene(tmp_path / "bad3.scene")
 
 

@@ -4,6 +4,7 @@ from scipy.optimize import linprog
 
 from cgrkit import contacts
 from cgrkit.contacts import (
+    TORQUE_SCALE,
     ClosureResult,
     Contact,
     ContactError,
@@ -139,7 +140,7 @@ def test_phase1_simplex_exits_raise(monkeypatch):
 
 def _oracle_feasible(contacts, params):
     """Feasibility of the cone-edge LP via scipy, built independently."""
-    G = grasp_matrix(contacts, params.torque_scale)
+    G = grasp_matrix(contacts, TORQUE_SCALE)
     cols = []
     for i, c in enumerate(contacts):
         E = friction_cone_edges(c.normal, params.friction, params.cone_edges)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cgrkit import coverage
 from cgrkit.coverage import (
     MASTER_DIRECTIONS,
     CoverageError,
@@ -17,7 +18,7 @@ from cgrkit.coverage import (
 )
 from cgrkit.geometry import PointCloud, chamfer_distance, make_box, make_cylinder, make_icosphere
 
-from conftest import reference_patches
+from conftest import reference_min_chamfer, reference_patches
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +149,93 @@ def test_is_covered_validation():
         is_covered(pool[0], pool, tau=0.0)
 
 
+@pytest.mark.parametrize("points", [
+    np.zeros((0, 3)),
+    np.array([[0.0, 0.01, np.nan]]),
+    np.array([[0.0, -np.inf, 0.02], [0.0, 0.0, 0.0]]),
+    np.zeros((4, 2)),
+    np.zeros(3),
+])
+def test_local_geometry_checks_points(points):
+    with pytest.raises(CoverageError, match="patch points must be"):
+        LocalGeometry(points, "bad", None)
+
+
 def test_far_patch_not_covered():
     pool = _pool_from(make_box((0.05, 0.05, 0.06)))
     shifted = LocalGeometry(pool[0].points + [0.0, 0.0, 0.05], "far", None)
     assert not is_covered(shifted, pool, tau=0.001)
+
+
+# ---------------------------------------------------------------------------
+# The lower-bound cascade against the exact chamfer
+
+
+@pytest.fixture(scope="module")
+def cascade_case():
+    """A sparse pool over boxA, cyl and sph plus a one-point patch, a patch of
+    duplicate points and a second copy of a patch; probes copied from the
+    pool, from a novel box, a far-shifted patch and the odd patches; and the
+    KD-tree and quadratic chamfer of every (probe, pool patch) pair."""
+    params = sparse_params(points_per_patch=48, surface_samples=3000, grasp_point_resolution=0.04)
+    shapes = {"boxA": make_box((0.04, 0.05, 0.07)), "cyl": make_cylinder(0.02, 0.06, segments=24),
+              "sph": make_icosphere(0.03, 2)}
+    pool = [p for oid, mesh in shapes.items() for p in sample_local_geometries(mesh, params, seed=2, object_id=oid)]
+    one_point = LocalGeometry(pool[7].points[:1], "one", None)
+    duplicates = LocalGeometry(np.repeat(pool[40].points[:4], 12, axis=0), "dup", None)
+    pool += [one_point, duplicates, LocalGeometry(pool[100].points.copy(), "twin", None)]
+    novel = sample_local_geometries(make_box((0.05, 0.07, 0.09)), params, seed=5, object_id="novel")
+    probes = [LocalGeometry(p.points.copy(), "copy", None) for p in pool[::30]] + novel[::25] + [
+        LocalGeometry(pool[0].points + [0.0, 0.0, 0.05], "far", None), one_point, duplicates,
+        LocalGeometry(pool[40].points[:4], "dup4", None)]
+    kd = np.array([[reference_min_chamfer(q, [p]) for p in pool] for q in probes])
+    clouds = [PointCloud(p.points) for p in pool]
+    quad = np.array([[chamfer_distance(PointCloud(q.points), c) for c in clouds] for q in probes])
+    return pool, probes, kd, quad
+
+
+@pytest.mark.parametrize("strides", [(), (3,), (3, 1)])
+def test_lower_bounds_are_sound(cascade_case, monkeypatch, strides):
+    """Every bound of the cascade, after the box bound and after each exact
+    forward pass, is at most the exact chamfer plus the slack, on every pair."""
+    pool, probes, kd, _ = cascade_case
+    monkeypatch.setattr(coverage, "_EXACT_STRIDES", strides)
+    for q, exact in zip(probes, kd):
+        live, lb, slack = coverage._lower_bounds(q, pool, np.inf)
+        assert np.array_equal(live, np.arange(len(pool)))
+        assert 0.0 < slack < 1e-11
+        assert np.all(lb <= exact + slack)
+    # the far probe is ruled out by its bounding box alone
+    far = probes[-4]
+    assert coverage._lower_bounds(far, pool, 0.001)[0].size == 0
+
+
+@pytest.mark.parametrize("tau", [1e-9, 0.001, 0.01])
+def test_is_covered_matches_quadratic_chamfer(cascade_case, tau):
+    pool, probes, _, quad = cascade_case
+    got = [is_covered(q, pool, tau) for q in probes]
+    assert got == list(quad.min(1) < tau)
+    assert any(got) and (tau == 0.01 or not all(got))
+
+
+def test_min_chamfer_equals_reference_loop(cascade_case):
+    """Without stop_below, bit for bit the per-patch KD-tree loop; with it, the
+    loop's value whenever that is below stop_below, and otherwise no less."""
+    pool, probes, _, _ = cascade_case
+    for q in probes:
+        assert min_chamfer(q, pool) == reference_min_chamfer(q, pool)
+        for stop in (1e-9, 0.001, 0.01):
+            want = reference_min_chamfer(q, pool, stop_below=stop)
+            got = min_chamfer(q, pool, stop_below=stop)
+            assert got == want if want < stop else got >= stop
+
+
+def test_block_size_does_not_change_results(cascade_case, monkeypatch):
+    pool, probes, _, _ = cascade_case
+    want = [(min_chamfer(q, pool), min_chamfer(q, pool, 0.001), is_covered(q, pool, 0.01)) for q in probes]
+    monkeypatch.setattr(coverage, "_PAIR_BLOCK", 1)  # one pool patch per block
+    got = [(min_chamfer(q, pool), min_chamfer(q, pool, 0.001), is_covered(q, pool, 0.01)) for q in probes]
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

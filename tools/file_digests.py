@@ -7,13 +7,14 @@ round of `perfbench/run.py --seed N` (round seed N * 1000), and prints:
 - the sha256 of the dataset, trial and bank files it wrote;
 - the sha256 of its coverage pool (every patch's points bytes, in pool
   order) and the coverage verdicts of its two checked probes;
+- one sha256 over every `is_covered` verdict of the round, with their count;
 - one sha256 over every grasp list that `detect` and `detect_baseline`
   returned in the round, each written through the CLI's grasp CSV writer;
 - one sha256 over the sequence of grasp-oracle outcomes, with their count.
 
 Two checkouts that print the same lines wrote byte-identical files, sampled
-bit-identical pools, returned the same grasps to the CSV's printed precision
-and judged every executed grasp alike.
+bit-identical pools, judged every coverage probe alike, returned the same
+grasps to the CSV's printed precision and judged every executed grasp alike.
 
 Run from the repo root:  python3 tools/file_digests.py --workload loop --seed 7
 """
@@ -33,15 +34,15 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import workloads  # noqa: E402
-from cgrkit import cli, pipeline  # noqa: E402
+from cgrkit import cli, coverage, pipeline  # noqa: E402
 
 
 def _recorded_round(spec, seed: int, workdir: str):
-    """run_round with pipeline.detect, detect_baseline and grasp_oracle
-    rebound to recorders (evaluate and the benchmark call them through the
-    module); returns the round, the grasp-CSV digest and count, and the
-    oracle outcomes."""
-    grasps, outcomes, n_lists = hashlib.sha256(), [], 0
+    """run_round with pipeline.detect, detect_baseline and grasp_oracle and
+    coverage.is_covered rebound to recorders (evaluate and the benchmark call
+    them through their modules); returns the round, the grasp-CSV digest and
+    count, the oracle outcomes and the coverage verdicts."""
+    grasps, outcomes, verdicts, n_lists = hashlib.sha256(), [], [], 0
     csv_path = os.path.join(workdir, "grasps.csv")
 
     def recording(fn):
@@ -60,16 +61,24 @@ def _recorded_round(spec, seed: int, workdir: str):
         outcomes.append(bool(result[0]))
         return result
 
+    def is_covered(*args, **kwargs):
+        covered = saved_is_covered(*args, **kwargs)
+        verdicts.append(bool(covered))
+        return covered
+
     saved = {name: getattr(pipeline, name) for name in ("detect", "detect_baseline", "grasp_oracle")}
+    saved_is_covered = coverage.is_covered
     pipeline.detect = recording(saved["detect"])
     pipeline.detect_baseline = recording(saved["detect_baseline"])
     pipeline.grasp_oracle = oracle
+    coverage.is_covered = is_covered
     try:
         rnd = workloads.run_round(spec, workloads.make_fixtures(spec), seed=seed, workdir=workdir)
     finally:
         for name, fn in saved.items():
             setattr(pipeline, name, fn)
-    return rnd, grasps.hexdigest(), n_lists, outcomes
+        coverage.is_covered = saved_is_covered
+    return rnd, grasps.hexdigest(), n_lists, outcomes, verdicts
 
 
 def main(argv=None) -> int:
@@ -79,7 +88,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     spec = workloads.SPECS[args.workload]
     with tempfile.TemporaryDirectory() as workdir:
-        rnd, grasps, n_lists, outcomes = _recorded_round(spec, args.seed * 1000, workdir)
+        rnd, grasps, n_lists, outcomes, verdicts = _recorded_round(spec, args.seed * 1000, workdir)
         for name, path in sorted(rnd.check_inputs["paths"].items()):
             with open(path, "rb") as f:
                 print(f"{name} {hashlib.sha256(f.read()).hexdigest()}")
@@ -89,6 +98,8 @@ def main(argv=None) -> int:
     print(f"pool {pool.hexdigest()} ({len(rnd.check_inputs['pool'])} patches)")
     for k, (_, covered) in enumerate(rnd.check_inputs["probes"]):
         print(f"probe{k} covered={covered}")
+    covered = hashlib.sha256(bytes(verdicts)).hexdigest()
+    print(f"verdicts {covered} ({len(verdicts)} probes, {sum(verdicts)} covered)")
     print(f"grasps {grasps} ({n_lists} lists)")
     oracle = hashlib.sha256(bytes(outcomes)).hexdigest()
     print(f"oracle {oracle} ({len(outcomes)} outcomes, {sum(outcomes)} successes)")
