@@ -155,7 +155,7 @@ def compose_scene(path) -> Scene:
                     mesh_path = os.path.join(base, args[1])
                     if not os.path.exists(mesh_path):
                         raise AnnotationError(f"mesh file not found for '{args[0]}': {mesh_path}")
-                    meshes[args[0]] = load_mesh(mesh_path, watertight=True)
+                    meshes[args[0]] = load_mesh(mesh_path)
                 elif key == "instance":
                     vals = [float(x) for x in args[1:]]
                     pose = RigidTransform(_quat_to_rotation(*vals[:4]), vals[4:])

@@ -96,7 +96,7 @@ def _read_mesh_list(path) -> dict:
             if not line:
                 continue
             oid, _, mesh_path = line.partition(" ")
-            out[oid] = load_mesh(os.path.join(base, mesh_path.strip()), watertight=True)
+            out[oid] = load_mesh(os.path.join(base, mesh_path.strip()))
     return out
 
 

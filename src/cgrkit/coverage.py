@@ -15,7 +15,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .cgr import CgrGridParams, _antipodal, cgr_grids
@@ -42,9 +41,6 @@ _BOUND_SLACK = 1e-12
 # probe-point x pool-point pairs per block of pool patches; bounds the dense
 # distance arrays of min_chamfer
 _PAIR_BLOCK = 1 << 20
-# probe-point strides of the exact forward passes: every third point prunes
-# most of what the boxes leave, then all points on the few that remain
-_EXACT_STRIDES = (3, 1)
 
 
 class CoverageError(ValueError):
@@ -90,8 +86,6 @@ class LocalGeometry:
     points: np.ndarray  # (points_per_patch, 3), box frame
     source_object: str
     source_pose: np.ndarray  # (3, 4) box frame [R | t]
-
-    _tree: cKDTree = None
     bounds: np.ndarray = field(init=False, repr=False)  # (2, 3) min and max corner of points
 
     def __post_init__(self):
@@ -101,11 +95,6 @@ class LocalGeometry:
         self.bounds = np.array([self.points.min(0), self.points.max(0)])
         if not np.isfinite(self.bounds).all():  # min and max carry any nan or inf
             raise CoverageError("patch points must be finite")
-
-    def tree(self) -> cKDTree:
-        if self._tree is None:
-            self._tree = cKDTree(self.points)
-        return self._tree
 
 
 def preset_directions(v: int) -> np.ndarray:
@@ -200,43 +189,31 @@ def min_chamfer(
 
     1. half the mean distance from the probe's points to each patch's bounding
        box plus the mean distance from each patch's points to the probe's box;
-    2. the same with the forward distances measured exactly, first for every
-       _EXACT_STRIDES[0]-th probe point, then for all of them;
-    3. the KD-tree chamfer, in pool order, on the patches that remain.
+    2. the same with the forward distances of every third probe point
+       measured exactly;
+    3. the exact chamfer of each patch that remains, from one dense pass over
+       all its point pairs with the probe.
 
     The pool is taken in blocks of at most _PAIR_BLOCK point pairs.
     """
-    q = test_patch.points
     limit = np.inf if stop_below is None else stop_below
     best = np.inf
-    per_block = max(1, _PAIR_BLOCK // (len(q) * max((len(p.points) for p in pool), default=1)))
+    per_block = max(1, _PAIR_BLOCK // (len(test_patch.points) * max((len(p.points) for p in pool), default=1)))
     for start in range(0, len(pool), per_block):
-        block = pool[start:start + per_block]
-        live, lb, slack = _lower_bounds(test_patch, block, min(best, limit))
-        for i in live:
-            patch, cutoff = block[i], min(best, limit)
-            if lb[i] >= cutoff + slack:  # the best distance dropped since the bounds
-                continue
-            da, _ = patch.tree().query(q)
-            fwd = float(np.mean(da))
-            if 0.5 * fwd >= cutoff:  # symmetric chamfer >= fwd/2
-                continue
-            db, _ = test_patch.tree().query(patch.points)
-            d = 0.5 * (fwd + float(np.mean(db)))
-            if d < best:
-                best = d
-                if stop_below is not None and best < stop_below:
-                    return best
+        d = _cascade(test_patch, pool[start:start + per_block], min(best, limit))[2]
+        if stop_below is not None and np.any(d < stop_below):
+            return float(d[d < stop_below][0])
+        best = min(best, float(d.min(initial=np.inf)))
     return best
 
 
-def _lower_bounds(
+def _cascade(
     test_patch: LocalGeometry, block: list[LocalGeometry], cutoff: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Bounds 1 and 2 of min_chamfer on each block patch: the indices of the
-    patches whose bound stays below cutoff plus the slack, in block order,
-    the bounds (exact forward distances included where computed) and the
-    slack."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The cascade of min_chamfer on one block: the indices, in block order,
+    of the patches whose bounds 1 and 2 stay below cutoff plus the slack, the
+    bounds (bound 2 only where bound 1 passed), the exact chamfers of those
+    patches and the slack."""
     q = test_patch.points
     boxes = np.array([p.bounds for p in block])
     sizes = np.array([len(p.points) for p in block])
@@ -246,15 +223,22 @@ def _lower_bounds(
     bwd = np.add.reduceat(bwd, _offsets(sizes)) / sizes
     lb = 0.5 * (fwd.mean(1) + bwd)
     live = np.flatnonzero(lb < cutoff + slack)
-    for stride in _EXACT_STRIDES:
-        if len(live) == 0:
-            break
-        cols = np.arange(0, len(q), stride)
+    if len(live):
+        cols = np.arange(0, len(q), 3)
         near = cdist(np.concatenate([block[i].points for i in live]), q[cols])
         fwd[live[:, None], cols] = np.minimum.reduceat(near, _offsets(sizes[live]), axis=0)
         lb[live] = 0.5 * (fwd[live].mean(1) + bwd[live])
         live = live[lb[live] < cutoff + slack]
-    return live, lb, slack
+    if len(live) == 0:
+        return live, lb, np.empty(0), slack
+    # per patch, the column minima are the forward distances and the row
+    # minima the backward ones; each mean is np.mean over one patch, as the
+    # KD-tree chamfer takes it (a reduceat sum over sizes rounds differently)
+    starts = _offsets(sizes[live])
+    near = cdist(np.concatenate([block[i].points for i in live]), q)
+    fwd, bwd = np.minimum.reduceat(near, starts, axis=0), near.min(1)
+    exact = np.array([0.5 * (np.mean(f) + np.mean(bwd[s:s + n])) for f, s, n in zip(fwd, starts, sizes[live])])
+    return live, lb, exact, slack
 
 
 def _box_distances(points: np.ndarray, boxes: np.ndarray) -> np.ndarray:

@@ -197,11 +197,13 @@ def chamfer_distance(a: PointCloud, b: PointCloud) -> float:
 
 class TriangleMesh:
     """Indexed triangle mesh. Normals are recomputed from winding order;
-    any normals present in input files are ignored."""
+    any normals present in input files are ignored. The mesh owns copies of
+    its vertices and triangles and keeps every array read-only, so that the
+    edges, normals and BVH computed from them cannot go stale."""
 
-    def __init__(self, vertices, triangles, watertight: bool = False):
-        self.vertices = np.asarray(vertices, dtype=float).reshape(-1, 3)
-        self.triangles = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    def __init__(self, vertices, triangles):
+        self.vertices = np.array(vertices, dtype=float).reshape(-1, 3)
+        self.triangles = np.array(triangles, dtype=np.int64).reshape(-1, 3)
         if len(self.triangles) and (
             self.triangles.min() < 0 or self.triangles.max() >= len(self.vertices)
         ):
@@ -213,7 +215,8 @@ class TriangleMesh:
         n = np.cross(self._e1, self._e2)
         lens = np.linalg.norm(n, axis=1)
         self.normals = n / np.where(lens > _EPS, lens, 1.0)[:, None]
-        self.watertight = watertight
+        for a in (self.vertices, self.triangles, self.normals, self._v0, self._e1, self._e2):
+            a.setflags(write=False)
         self._bvh = None
 
     def __len__(self) -> int:
@@ -229,7 +232,7 @@ class TriangleMesh:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
     def transformed(self, tf: RigidTransform) -> "TriangleMesh":
-        return TriangleMesh(tf.apply(self.vertices), self.triangles, self.watertight)
+        return TriangleMesh(tf.apply(self.vertices), self.triangles)
 
     # -- ray casting ----------------------------------------------------
 
@@ -418,12 +421,11 @@ def merge_meshes(meshes: list[TriangleMesh]) -> TriangleMesh:
     if not meshes:
         return TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
     verts, tris, offset = [], [], 0
-    watertight = all(m.watertight for m in meshes)
     for m in meshes:
         verts.append(m.vertices)
         tris.append(m.triangles + offset)
         offset += len(m.vertices)
-    return TriangleMesh(np.vstack(verts), np.vstack(tris), watertight)
+    return TriangleMesh(np.vstack(verts), np.vstack(tris))
 
 
 # ---------------------------------------------------------------------------
@@ -601,16 +603,16 @@ def render_partial_cloud(
 # Mesh file ingestion (ASCII OBJ, binary STL) and primitives
 
 
-def load_mesh(path, watertight: bool = False) -> TriangleMesh:
+def load_mesh(path) -> TriangleMesh:
     path = str(path)
     if path.lower().endswith(".obj"):
-        return load_obj(path, watertight)
+        return load_obj(path)
     if path.lower().endswith(".stl"):
-        return load_stl(path, watertight)
+        return load_stl(path)
     raise GeometryError(f"unsupported mesh format: {path}")
 
 
-def load_obj(path, watertight: bool = False) -> TriangleMesh:
+def load_obj(path) -> TriangleMesh:
     verts, tris = [], []
     with open(path) as f:
         for line in f:
@@ -623,7 +625,7 @@ def load_obj(path, watertight: bool = False) -> TriangleMesh:
                 idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
                 for k in range(1, len(idx) - 1):  # fan-triangulate
                     tris.append([idx[0], idx[k], idx[k + 1]])
-    return TriangleMesh(np.array(verts), np.array(tris, dtype=np.int64), watertight)
+    return TriangleMesh(np.array(verts), np.array(tris, dtype=np.int64))
 
 
 def save_obj(mesh: TriangleMesh, path) -> None:
@@ -634,7 +636,7 @@ def save_obj(mesh: TriangleMesh, path) -> None:
             f.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
 
 
-def load_stl(path, watertight: bool = False) -> TriangleMesh:
+def load_stl(path) -> TriangleMesh:
     with open(path, "rb") as f:
         _read_exact(f, 80, GeometryError)
         (n,) = struct.unpack("<I", _read_exact(f, 4, GeometryError))
@@ -642,7 +644,7 @@ def load_stl(path, watertight: bool = False) -> TriangleMesh:
     tris = data[:, 12:48].copy().view("<f4").reshape(n, 3, 3).astype(float)
     verts = tris.reshape(-1, 3)
     faces = np.arange(3 * n, dtype=np.int64).reshape(n, 3)
-    return TriangleMesh(verts, faces, watertight)
+    return TriangleMesh(verts, faces)
 
 
 def make_box(extents, center=(0.0, 0.0, 0.0)) -> TriangleMesh:
@@ -666,7 +668,7 @@ def make_box(extents, center=(0.0, 0.0, 0.0)) -> TriangleMesh:
         ],
         dtype=np.int64,
     )
-    return TriangleMesh(corners, faces, watertight=True)
+    return TriangleMesh(corners, faces)
 
 
 def make_icosphere(radius: float = 1.0, subdivisions: int = 3, center=(0.0, 0.0, 0.0)) -> TriangleMesh:
@@ -704,7 +706,7 @@ def make_icosphere(radius: float = 1.0, subdivisions: int = 3, center=(0.0, 0.0,
             new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
         faces = new_faces
     v = np.array(verts) * radius + np.asarray(center, dtype=float)
-    return TriangleMesh(v, np.array(faces, dtype=np.int64), watertight=True)
+    return TriangleMesh(v, np.array(faces, dtype=np.int64))
 
 
 def make_cylinder(radius: float, height: float, segments: int = 32, center=(0.0, 0.0, 0.0)) -> TriangleMesh:
@@ -725,4 +727,4 @@ def make_cylinder(radius: float, height: float, segments: int = 32, center=(0.0,
             [ct, segments + i, segments + j],  # top cap (+z)
         ]
     verts = verts + np.asarray(center, dtype=float)
-    return TriangleMesh(verts, np.array(faces, dtype=np.int64), watertight=True)
+    return TriangleMesh(verts, np.array(faces, dtype=np.int64))

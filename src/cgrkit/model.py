@@ -54,18 +54,6 @@ class ModelParams:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            [g.copy() for g in self.bn_gamma],
-            [b.copy() for b in self.bn_beta],
-            [m.copy() for m in self.running_mean],
-            [v.copy() for v in self.running_var],
-            self.input_dim,
-            self.hidden,
-        )
-
     def flat_parameters(self) -> list:
         """(name, array) pairs for every trainable parameter."""
         out = []

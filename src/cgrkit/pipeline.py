@@ -330,14 +330,6 @@ class EvalStats:
             return {}
         return {t: c / total for t, c in sorted(self.per_type_attempts.items())}
 
-    def merge(self, other: "EvalStats") -> None:
-        self.attempts += other.attempts
-        self.successes += other.successes
-        for t, c in other.per_type_attempts.items():
-            self.per_type_attempts[t] = self.per_type_attempts.get(t, 0) + c
-        for t, c in other.per_type_successes.items():
-            self.per_type_successes[t] = self.per_type_successes.get(t, 0) + c
-
 
 def evaluate(
     policy: str,

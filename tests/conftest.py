@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from cgrkit import bundled_hand_path
 from cgrkit.annotation import Scene, SceneInstance
@@ -112,9 +113,9 @@ def reference_min_chamfer(test_patch, pool, stop_below=None):
     """min_chamfer as one KD-tree chamfer per pool patch, in pool order,
     skipping a patch only when half its forward mean reaches the best so far."""
     best = np.inf
-    t_tree = test_patch.tree()
+    t_tree = cKDTree(test_patch.points)
     for patch in pool:
-        da, _ = patch.tree().query(test_patch.points)
+        da, _ = cKDTree(patch.points).query(test_patch.points)
         fwd = float(np.mean(da))
         if 0.5 * fwd >= best:  # symmetric chamfer >= fwd/2
             continue

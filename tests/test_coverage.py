@@ -194,20 +194,24 @@ def cascade_case():
     return pool, probes, kd, quad
 
 
-@pytest.mark.parametrize("strides", [(), (3,), (3, 1)])
-def test_lower_bounds_are_sound(cascade_case, monkeypatch, strides):
-    """Every bound of the cascade, after the box bound and after each exact
-    forward pass, is at most the exact chamfer plus the slack, on every pair."""
+def test_lower_bounds_are_sound(cascade_case):
+    """On every pair, the box bound and the bound after the stride-3 exact
+    forward pass are at most the KD-tree chamfer plus the slack, and the
+    cascade's exact chamfers equal it bit for bit."""
     pool, probes, kd, _ = cascade_case
-    monkeypatch.setattr(coverage, "_EXACT_STRIDES", strides)
-    for q, exact in zip(probes, kd):
-        live, lb, slack = coverage._lower_bounds(q, pool, np.inf)
+    for q, want in zip(probes, kd):
+        box_only = coverage._cascade(q, pool, -np.inf)  # no patch passes the box bound
+        assert box_only[0].size == 0 and box_only[2].size == 0
+        live, lb, exact, slack = coverage._cascade(q, pool, np.inf)
         assert np.array_equal(live, np.arange(len(pool)))
         assert 0.0 < slack < 1e-11
-        assert np.all(lb <= exact + slack)
+        assert np.all(box_only[1] <= want + slack) and np.all(lb <= want + slack)
+        assert np.array_equal(exact, want)
     # the far probe is ruled out by its bounding box alone
     far = probes[-4]
-    assert coverage._lower_bounds(far, pool, 0.001)[0].size == 0
+    live, lb, exact, _ = coverage._cascade(far, pool, 0.001)
+    assert live.size == 0 and exact.size == 0
+    assert np.array_equal(lb, coverage._cascade(far, pool, -np.inf)[1])
 
 
 @pytest.mark.parametrize("tau", [1e-9, 0.001, 0.01])

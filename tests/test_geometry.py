@@ -282,6 +282,26 @@ def test_ray_respects_t_max(cube):
     assert cube.ray_intersect(np.zeros(3), np.array([1.0, 0.0, 0.0]), 0.01) is None
 
 
+def test_mesh_arrays_are_read_only():
+    m = make_box((1.0, 1.0, 1.0))
+    with pytest.raises(ValueError):
+        m.vertices += [0, 0, 2]
+    assert not any(a.flags.writeable for a in (m.vertices, m.triangles, m.normals, m._v0, m._e1, m._e2))
+
+
+def test_mesh_copies_its_input():
+    """Editing the caller's vertex array after construction changes nothing:
+    a sideways ray at z = 0.2 still hits the box's -x face, also through the
+    BVH that the first cast builds."""
+    box = make_box((1.0, 1.0, 1.0))
+    source = box.vertices.copy()
+    m = TriangleMesh(source, box.triangles)
+    source += [0.0, 0.0, 2.0]
+    want = box.ray_intersect([-5.0, 0.1, 0.2], [1.0, 0.0, 0.0], 10.0)
+    got = m.ray_intersect([-5.0, 0.1, 0.2], [1.0, 0.0, 0.0], 10.0)
+    assert got is not None and got[0] == want[0] and np.array_equal(got[1], want[1])
+
+
 # ---------------------------------------------------------------------------
 # Point clouds and chamfer distance
 

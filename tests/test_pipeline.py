@@ -1,3 +1,4 @@
+import copy
 import re
 from dataclasses import replace
 
@@ -275,7 +276,7 @@ def test_detect_matches_per_candidate_reference(scene0, dataset0, hand3, oblique
     config = DetectionConfig(top_cgr=40, top_candidates=100)
     # a bank whose every type scores all its candidates alike: ties fall to
     # the antipodal score, then to generation order
-    flat = DecisionBank({t: m.copy() for t, m in bank0.models.items()})
+    flat = DecisionBank(copy.deepcopy(bank0.models))
     for m in flat.models.values():
         m.weights[-1][:] = 0.0
     for hand, bank in ((hand3, bank0), (oblique_hand, bank0), (hand3, flat), (hand3, None), (oblique_hand, None)):
@@ -389,13 +390,11 @@ def test_baseline_ordering_and_determinism(scene0, dataset0, hand3):
 # Evaluation
 
 
-def test_eval_stats_merge_and_frequencies():
+def test_eval_stats_rate_and_frequencies():
     s = EvalStats()
     assert s.success_rate is None
     assert s.type_frequencies() == {}
-    s.merge(EvalStats(attempts=4, successes=2, per_type_attempts={0: 3, 1: 1}))
-    s.merge(EvalStats(attempts=2, successes=1, per_type_attempts={1: 2}))
-    assert s.attempts == 6 and s.successes == 3
+    s = EvalStats(attempts=6, successes=3, per_type_attempts={0: 3, 1: 3})
     assert s.success_rate == 0.5
     freqs = s.type_frequencies()
     assert freqs == {0: 0.5, 1: 0.5}
