@@ -194,19 +194,25 @@ def cascade_case():
     return pool, probes, kd, quad
 
 
-def test_lower_bounds_are_sound(cascade_case):
-    """On every pair, the box bound and the bound after the stride-3 exact
-    forward pass are at most the KD-tree chamfer plus the slack, and the
-    cascade's exact chamfers equal it bit for bit."""
+@pytest.mark.parametrize("strides", [(), (3,), (3, 1)])
+def test_lower_bounds_are_sound(cascade_case, strides):
+    """On every pair, the cascade's bound after the exact forward passes of
+    the given strides (none: the box bound alone; (3, 1): the exact chamfer)
+    is at most the KD-tree chamfer plus the slack; after (3, 1) it equals the
+    KD-tree chamfer bit for bit."""
     pool, probes, kd, _ = cascade_case
     for q, want in zip(probes, kd):
-        box_only = coverage._cascade(q, pool, -np.inf)  # no patch passes the box bound
-        assert box_only[0].size == 0 and box_only[2].size == 0
-        live, lb, exact, slack = coverage._cascade(q, pool, np.inf)
-        assert np.array_equal(live, np.arange(len(pool)))
+        if strides:
+            live, lb, exact, slack = coverage._cascade(q, pool, np.inf)
+            assert np.array_equal(live, np.arange(len(pool)))
+        else:  # with cutoff -inf no patch passes the box bound
+            live, lb, exact, slack = coverage._cascade(q, pool, -np.inf)
+            assert live.size == 0 and exact.size == 0
         assert 0.0 < slack < 1e-11
-        assert np.all(box_only[1] <= want + slack) and np.all(lb <= want + slack)
-        assert np.array_equal(exact, want)
+        bound = exact if strides == (3, 1) else lb
+        assert np.all(bound <= want + slack)
+        if strides == (3, 1):
+            assert np.array_equal(exact, want)
     # the far probe is ruled out by its bounding box alone
     far = probes[-4]
     live, lb, exact, _ = coverage._cascade(far, pool, 0.001)
