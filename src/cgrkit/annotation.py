@@ -182,8 +182,8 @@ class AnnotationParams:
 
     def __post_init__(self):
         for name in ("surface_resolution", "cylinder_radius", "cylinder_length"):
-            if getattr(self, name) <= 0:
-                raise AnnotationError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise AnnotationError(f"{name} must be positive and finite")
         if self.approach_directions < 1:
             raise AnnotationError("approach_directions must be positive")
 

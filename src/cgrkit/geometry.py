@@ -17,6 +17,7 @@ from scipy.spatial import cKDTree
 
 _EPS = 1e-12
 RAY_T_MIN = 1e-9
+_SAT_CHUNK = 1 << 15  # (triangle, cell) pairs per voxelize_mesh pass
 
 POINTCLOUD_MAGIC = b"CGRKPC1\0"
 
@@ -444,8 +445,8 @@ class VoxelGrid:
     offset: np.ndarray = field(default_factory=lambda: np.zeros(3, dtype=np.int64))
 
     def __post_init__(self):
-        if self.voxel_size <= 0:
-            raise GeometryError("voxel_size must be positive")
+        if not 0.0 < self.voxel_size < np.inf:
+            raise GeometryError("voxel_size must be positive and finite")
         self.origin = np.asarray(self.origin, dtype=float).reshape(3)
         self.mask = np.asarray(self.mask, dtype=bool)
         self.offset = np.asarray(self.offset, dtype=np.int64).reshape(3)
@@ -474,51 +475,71 @@ class VoxelGrid:
         )
 
 
-def _tri_box_overlap_cells(tri: np.ndarray, centers: np.ndarray, half: float) -> np.ndarray:
-    """Separating-axis test of one triangle against many axis-aligned cubes
-    (Akenine-Moller, "Fast 3D Triangle-Box Overlap Testing", JGT 2001)."""
-    # box face normals (AABB vs AABB)
-    lo, hi = tri.min(axis=0), tri.max(axis=0)
-    keep = np.all(centers - half <= hi + 1e-12, axis=1)
-    keep &= np.all(centers + half >= lo - 1e-12, axis=1)
-    e = np.array([tri[1] - tri[0], tri[2] - tri[1], tri[0] - tri[2]])
-    # triangle plane
-    n = np.cross(e[0], e[1])
-    r = half * np.sum(np.abs(n))
-    d = centers @ n - np.dot(n, tri[0])
-    keep &= np.abs(d) <= r + 1e-12
-    # 9 edge-cross axes; an edge parallel to a box axis gives none
-    axes = np.cross(e[:, None], np.eye(3)).reshape(9, 3)
-    axes = axes[np.linalg.norm(axes, axis=1) >= _EPS]
-    p = tri @ axes.T
-    r = half * np.sum(np.abs(axes), axis=1)
-    c = centers @ axes.T
-    keep &= np.all((p.min(axis=0) - c <= r + 1e-12) & (p.max(axis=0) - c >= -r - 1e-12), axis=1)
-    return keep
-
-
 def voxelize_mesh(mesh: TriangleMesh, voxel_size: float) -> VoxelGrid:
     """Conservative surface voxelization: a voxel is occupied iff some
-    triangle overlaps it."""
-    if voxel_size <= 0:
-        raise GeometryError("voxel_size must be positive")
+    triangle overlaps it. The separating-axis test (Akenine-Moller, "Fast 3D
+    Triangle-Box Overlap Testing", JGT 2001) runs on every (triangle,
+    candidate cell) pair, in passes of at most _SAT_CHUNK pairs."""
+    if not 0.0 < voxel_size < np.inf:
+        raise GeometryError("voxel_size must be positive and finite")
     if len(mesh) == 0:
         return VoxelGrid(np.zeros(3), voxel_size)
     # center the grid on the mesh so that symmetric meshes voxelize symmetrically
     mn, mx = mesh.bounds()
     origin = (mn + mx) / 2.0 - voxel_size / 2.0
     half = voxel_size / 2.0
-    corners = mesh.vertices[mesh.triangles]
-    local = corners - origin
+    tri = mesh.vertices[mesh.triangles]
+    local = tri - origin
     # candidate cells of each triangle: its bounding box, widened by rounding slack
     lo = np.floor(local.min(axis=1) / voxel_size - 1e-9).astype(np.int64)
     hi = np.floor(local.max(axis=1) / voxel_size + 1e-9).astype(np.int64)
     offset = lo.min(axis=0)
     mask = np.zeros(hi.max(axis=0) - offset + 1, dtype=bool)
-    for tri, tlo, thi in zip(corners, lo, hi):
-        cells = np.indices(thi - tlo + 1).reshape(3, -1).T + tlo
+    dims = hi - lo + 1
+    counts = np.prod(dims, axis=1)
+    starts = np.cumsum(counts) - counts
+    # per triangle: bounds, plane normal n, the 9 edge-cross axes (an edge
+    # parallel to a box axis gives none), box radii and extents along each
+    t_lo, t_hi = tri.min(axis=1), tri.max(axis=1)
+    e = tri[:, [1, 2, 0]] - tri
+    n = np.cross(e[:, 0], e[:, 1])
+    n_r = half * np.sum(np.abs(n), axis=1)
+    n_d = np.matmul(n[:, None], tri[:, 0, :, None])[:, 0, 0]
+    axes = np.cross(e[:, :, None], np.eye(3)).reshape(-1, 9, 3)
+    live = np.linalg.norm(axes, axis=2) >= _EPS
+    ax_r = half * np.sum(np.abs(axes), axis=2)
+    p = np.matmul(tri, axes.transpose(0, 2, 1))
+    p_min, p_max = p.min(axis=1), p.max(axis=1)
+    # Sums round as in the SAT of one triangle's block of cells, which runs
+    # OpenBLAS gemv for the plane (fma(c0, n0, c1 n1) + c2 n2 in 4-row blocks,
+    # else from term 0 like dot) and gemm (from term 0) for the axes, or dot
+    # and gemv (from term 1) for a one-cell block. Here the plane sum is a dot
+    # and the axis sums a gemv with terms 0 and 1 swapped for multi-cell blocks.
+    multi = counts > 1
+    axes_t = np.where(multi[:, None, None], axes[..., [1, 0, 2]], axes).transpose(0, 2, 1)
+    total = int(counts.sum())
+    for first in range(0, total, _SAT_CHUNK):
+        # pair k is cell j of triangle t's block, in np.indices (C) order
+        k = np.arange(first, min(first + _SAT_CHUNK, total))
+        t = np.searchsorted(starts, k, side="right") - 1
+        j = k - starts[t]
+        d1, d2 = dims[t, 1], dims[t, 2]
+        cells = lo[t] + np.stack([j // (d1 * d2), j // d2 % d1, j % d2], axis=1)
         centers = origin + (cells + 0.5) * voxel_size
-        hit = _tri_box_overlap_cells(tri, centers, half)
+        # box face normals (AABB vs AABB)
+        keep = np.all(centers - half <= t_hi[t] + 1e-12, axis=1)
+        keep &= np.all(centers + half >= t_lo[t] - 1e-12, axis=1)
+        # triangle plane
+        d = np.matmul(centers[:, None], n[t, :, None])[:, 0, 0]
+        b = np.flatnonzero(j < (counts[t] & -4))
+        d[b] = np.matmul(centers[b][:, None, [1, 0]], n[t[b]][:, [1, 0], None])[:, 0, 0] + centers[b, 2] * n[t[b], 2]
+        keep &= np.abs(d - n_d[t]) <= n_r[t] + 1e-12
+        # edge-cross axes, on the pairs still in
+        s = np.flatnonzero(keep)
+        t, c = t[s], centers[s]
+        c = np.matmul(np.where(multi[t, None], c[:, [1, 0, 2]], c)[:, None], axes_t[t])[:, 0]
+        ok = (p_min[t] - c <= ax_r[t] + 1e-12) & (p_max[t] - c >= -ax_r[t] - 1e-12)
+        hit = s[np.all(ok | ~live[t], axis=1)]
         mask[tuple((cells[hit] - offset).T)] = True
     return VoxelGrid(origin, voxel_size, mask, offset)
 

@@ -14,6 +14,7 @@ from cgrkit.coverage import (
 )
 from cgrkit.geometry import (
     RigidTransform,
+    VoxelGrid,
     frame_array,
     frame_from_z,
     make_box,
@@ -126,6 +127,49 @@ def reference_min_chamfer(test_patch, pool, stop_below=None):
             if stop_below is not None and best < stop_below:
                 return best
     return best
+
+
+def reference_voxelize(mesh, voxel_size):
+    """voxelize_mesh one triangle at a time: the separating-axis test
+    (Akenine-Moller, JGT 2001) of each triangle against every cell of its
+    bounding-box block, as numpy products over the block."""
+    if len(mesh) == 0:
+        return VoxelGrid(np.zeros(3), voxel_size)
+    mn, mx = mesh.bounds()
+    origin = (mn + mx) / 2.0 - voxel_size / 2.0
+    half = voxel_size / 2.0
+    corners = mesh.vertices[mesh.triangles]
+    lo = np.floor((corners - origin).min(axis=1) / voxel_size - 1e-9).astype(np.int64)
+    hi = np.floor((corners - origin).max(axis=1) / voxel_size + 1e-9).astype(np.int64)
+    offset = lo.min(axis=0)
+    mask = np.zeros(hi.max(axis=0) - offset + 1, dtype=bool)
+    for tri, tlo, thi in zip(corners, lo, hi):
+        cells = np.indices(thi - tlo + 1).reshape(3, -1).T + tlo
+        centers = origin + (cells + 0.5) * voxel_size
+        # box face normals
+        keep = np.all(centers - half <= tri.max(axis=0) + 1e-12, axis=1)
+        keep &= np.all(centers + half >= tri.min(axis=0) - 1e-12, axis=1)
+        # triangle plane
+        e = np.array([tri[1] - tri[0], tri[2] - tri[1], tri[0] - tri[2]])
+        n = np.cross(e[0], e[1])
+        keep &= np.abs(centers @ n - np.dot(n, tri[0])) <= half * np.sum(np.abs(n)) + 1e-12
+        # edge x box-axis cross products that are not degenerate
+        axes = np.cross(e[:, None], np.eye(3)).reshape(9, 3)
+        axes = axes[np.linalg.norm(axes, axis=1) >= 1e-12]
+        p, c = tri @ axes.T, centers @ axes.T
+        r = half * np.sum(np.abs(axes), axis=1)
+        keep &= np.all((p.min(axis=0) - c <= r + 1e-12) & (p.max(axis=0) - c >= -r - 1e-12), axis=1)
+        mask[tuple((cells[keep] - offset).T)] = True
+    return VoxelGrid(origin, voxel_size, mask, offset)
+
+
+def assert_same_grid(got, want):
+    """Byte-identical mask, offset, origin and voxel size."""
+    assert got.voxel_size == want.voxel_size
+    assert got.origin.tobytes() == want.origin.tobytes()
+    assert got.offset.tobytes() == want.offset.tobytes()
+    assert got.mask.shape == want.mask.shape
+    assert got.mask.tobytes() == want.mask.tobytes()
 
 
 @pytest.fixture(scope="session")

@@ -302,6 +302,13 @@ def test_filter_validates_params():
         AnnotationParams(cylinder_length=0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["surface_resolution", "cylinder_radius", "cylinder_length"])
+def test_params_reject_non_finite_sizes(name, value):
+    with pytest.raises(AnnotationError, match=f"{name} must be positive and finite"):
+        AnnotationParams(**{name: value})
+
+
 # ---------------------------------------------------------------------------
 # Scene annotation
 

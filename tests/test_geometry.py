@@ -1,6 +1,11 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cgrkit import bundled_hand_path, geometry
 from cgrkit.geometry import (
     _RAY_CHUNK,
     CameraIntrinsics,
@@ -8,9 +13,11 @@ from cgrkit.geometry import (
     PointCloud,
     RigidTransform,
     TriangleMesh,
+    VoxelGrid,
     chamfer_distance,
     fibonacci_sphere,
     frame_from_z,
+    load_mesh,
     load_obj,
     load_stl,
     make_box,
@@ -25,7 +32,7 @@ from cgrkit.geometry import (
     voxelize_mesh,
 )
 
-from conftest import random_rotation, random_transform
+from conftest import assert_same_grid, random_rotation, random_transform, reference_voxelize
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +406,121 @@ def test_voxelize_conservative_against_sampled_surface(sphere):
     grid = voxelize_mesh(sphere, 0.004)
     cloud = sample_surface_points(sphere, 5000, seed=0)
     assert grid.contains_points(cloud.points).all()
+
+
+@pytest.mark.parametrize("size", [0.0, -0.01, float("nan"), float("inf"), float("-inf")])
+def test_voxel_size_must_be_positive_and_finite(cube, size):
+    with pytest.raises(GeometryError):
+        voxelize_mesh(cube, size)
+    with pytest.raises(GeometryError):
+        VoxelGrid(np.zeros(3), size)
+
+
+def _parity_mesh(name, request):
+    """A parity-corpus mesh: a conftest fixture, a bundled palm, the unit
+    cube, an empty mesh, or randomly posed icosphere "ico<seed>"."""
+    if name.startswith("ico"):
+        rng = np.random.default_rng(int(name[3:]))
+        mesh = make_icosphere(rng.uniform(0.01, 0.04), subdivisions=int(rng.integers(1, 4)))
+        return mesh.transformed(random_transform(rng, 0.1))
+    if name.startswith("palm"):
+        return load_mesh(os.path.join(os.path.dirname(bundled_hand_path("archetype3")), f"{name}.obj"))
+    if name == "unit_cube":
+        return make_box((1.0, 1.0, 1.0))
+    if name == "empty":
+        return TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+    return request.getfixturevalue(name)
+
+
+VOXEL_PARITY = (
+    [("cube", s) for s in (0.02, 0.01, 0.005, 0.004, 0.003)]
+    + [("sphere", s) for s in (0.01, 0.004)]
+    + [("slab", s) for s in (0.02, 0.01, 0.005, 0.004, 0.003)]
+    + [("plates", s) for s in (0.01, 0.004)]
+    + [(f"palm{k}", 0.005) for k in (3, 4, 5)]
+    + [("unit_cube", 0.5), ("unit_cube", 0.05), ("empty", 0.01)]
+    + [(f"ico{k}", (0.003, 0.005, 0.01)[k % 3]) for k in range(12)]
+)
+
+
+@pytest.mark.parametrize("name, size", VOXEL_PARITY)
+def test_voxelize_matches_reference(request, name, size):
+    mesh = _parity_mesh(name, request)
+    assert_same_grid(voxelize_mesh(mesh, size), reference_voxelize(mesh, size))
+
+
+@st.composite
+def _triangle_soups(draw):
+    """(vertices (3n, 3), voxel size): triangles with corners on the quarter
+    lattice of the cells (so faces fall on cell planes and centers) or
+    anywhere, made axis-aligned, shrunk below a cell, collapsed to zero area
+    or duplicated."""
+    size = draw(st.sampled_from([0.25, 0.1, 1.0 / 64]))
+    coord = st.one_of(st.integers(-24, 24).map(lambda i: i * size / 4),
+                      st.floats(-6 * size, 6 * size, allow_nan=False))
+    tris = []
+    for _ in range(draw(st.integers(1, 8))):
+        v = np.array(draw(st.lists(st.tuples(coord, coord, coord), min_size=3, max_size=3)))
+        kind = draw(st.sampled_from(["free", "flat", "tiny", "point", "edge", "collinear", "copy"]))
+        if kind == "flat":
+            v[:, draw(st.integers(0, 2))] = v[0, draw(st.integers(0, 2))]
+        elif kind == "tiny":
+            v = v[0] + (v - v[0]) * draw(st.sampled_from([1e-3, 0.1, 0.3]))
+        elif kind == "point":
+            v[:] = v[0]
+        elif kind == "edge":
+            v[2] = v[1]
+        elif kind == "collinear":
+            v[2] = 2.0 * v[1] - v[0]
+        elif kind == "copy" and tris:
+            v = tris[draw(st.integers(0, len(tris) - 1))][draw(st.permutations(range(3)))]
+        tris.append(v)
+    return np.concatenate(tris), size
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_triangle_soups())
+def test_voxelize_matches_reference_on_triangle_soups(soup):
+    vertices, size = soup
+    mesh = TriangleMesh(vertices, np.arange(len(vertices)).reshape(-1, 3))
+    assert_same_grid(voxelize_mesh(mesh, size), reference_voxelize(mesh, size))
+
+
+def test_voxelize_matches_reference_at_the_slack_edge():
+    """Slide a triangle along its normal and along its plane to where the
+    reference mask first changes, and compare every ulp step around there,
+    where a 3-term sum rounded in another order flips a cell. Triangles 1
+    and 20 of this draw flip one through the plane sum, triangle 10 through
+    an axis sum. Two point triangles pin the grid."""
+    pins = np.array([[0.1] * 3] * 3 + [[-0.1] * 3] * 3)
+
+    def posed(tri, slide):
+        return TriangleMesh(np.vstack([tri + slide, pins]), np.arange(9).reshape(3, 3))
+
+    for tri in np.random.default_rng(1).uniform(-0.02, 0.02, (21, 3, 3))[[1, 10, 20]]:
+        n = np.cross(tri[1] - tri[0], tri[2] - tri[1])
+        for u in (n, np.cross(n, tri[1] - tri[0])):
+            u = u / np.linalg.norm(u)
+            start = reference_voxelize(posed(tri, 0.0), 0.01).mask.tobytes()
+            lo, hi = 0.0, 0.004
+            assert reference_voxelize(posed(tri, hi * u), 0.01).mask.tobytes() != start
+            for _ in range(60):
+                mid = (lo + hi) / 2
+                same = reference_voxelize(posed(tri, mid * u), 0.01).mask.tobytes() == start
+                lo, hi = (mid, hi) if same else (lo, mid)
+            for step in range(-40, 41):
+                mesh = posed(tri, (lo + step * np.spacing(lo)) * u)
+                assert_same_grid(voxelize_mesh(mesh, 0.01), reference_voxelize(mesh, 0.01))
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_voxelize_chunk_size_does_not_change_masks(monkeypatch, sphere, chunk):
+    box = make_box((0.03, 0.05, 0.02)).transformed(random_transform(np.random.default_rng(4), 0.05))
+    cases = [(sphere, 0.02), (box, 0.005)]
+    want = [voxelize_mesh(mesh, size) for mesh, size in cases]
+    monkeypatch.setattr(geometry, "_SAT_CHUNK", chunk)
+    for (mesh, size), grid in zip(cases, want):
+        assert_same_grid(voxelize_mesh(mesh, size), grid)
 
 
 # ---------------------------------------------------------------------------
