@@ -510,11 +510,13 @@ def voxelize_mesh(mesh: TriangleMesh, voxel_size: float) -> VoxelGrid:
     ax_r = half * np.sum(np.abs(axes), axis=2)
     p = np.matmul(tri, axes.transpose(0, 2, 1))
     p_min, p_max = p.min(axis=1), p.max(axis=1)
-    # Sums round as in the SAT of one triangle's block of cells, which runs
-    # OpenBLAS gemv for the plane (fma(c0, n0, c1 n1) + c2 n2 in 4-row blocks,
-    # else from term 0 like dot) and gemm (from term 0) for the axes, or dot
-    # and gemv (from term 1) for a one-cell block. Here the plane sum is a dot
-    # and the axis sums a gemv with terms 0 and 1 swapped for multi-cell blocks.
+    # Every 3-term sum rounds as in the SAT of one triangle against its block
+    # of cells. There OpenBLAS summed the plane term by gemv: the rows of its
+    # 4-row blocks as fma(c0, n0, c1 n1) + c2 n2, the others like dot, as
+    # fma(c2, n2, fma(c1, n1, c0 n0)). The axis terms went through gemm, like
+    # dot, or for a one-cell block through gemv, which adds term 1 first. Here
+    # the plane sum is a stacked dot and the axis sums a stacked gemv, with
+    # terms 0 and 1 swapped for a multi-cell block.
     multi = counts > 1
     axes_t = np.where(multi[:, None, None], axes[..., [1, 0, 2]], axes).transpose(0, 2, 1)
     total = int(counts.sum())
@@ -531,13 +533,14 @@ def voxelize_mesh(mesh: TriangleMesh, voxel_size: float) -> VoxelGrid:
         keep &= np.all(centers + half >= t_lo[t] - 1e-12, axis=1)
         # triangle plane
         d = np.matmul(centers[:, None], n[t, :, None])[:, 0, 0]
-        b = np.flatnonzero(j < (counts[t] & -4))
-        d[b] = np.matmul(centers[b][:, None, [1, 0]], n[t[b]][:, [1, 0], None])[:, 0, 0] + centers[b, 2] * n[t[b], 2]
+        b = np.flatnonzero(j < (counts[t] & -4))  # rows in gemv's 4-row blocks
+        d[b] = np.matmul(centers[b][:, None, [1, 0]], n[t[b]][:, [1, 0], None])[:, 0, 0]
+        d[b] += centers[b, 2] * n[t[b], 2]
         keep &= np.abs(d - n_d[t]) <= n_r[t] + 1e-12
         # edge-cross axes, on the pairs still in
         s = np.flatnonzero(keep)
-        t, c = t[s], centers[s]
-        c = np.matmul(np.where(multi[t, None], c[:, [1, 0, 2]], c)[:, None], axes_t[t])[:, 0]
+        t, cs = t[s], centers[s]
+        c = np.matmul(np.where(multi[t, None], cs[:, [1, 0, 2]], cs)[:, None], axes_t[t])[:, 0]
         ok = (p_min[t] - c <= ax_r[t] + 1e-12) & (p_max[t] - c >= -ax_r[t] - 1e-12)
         hit = s[np.all(ok | ~live[t], axis=1)]
         mask[tuple((cells[hit] - offset).T)] = True
