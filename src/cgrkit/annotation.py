@@ -256,7 +256,9 @@ def _approach_collisions(frames: np.ndarray, scene: Scene, radius: float, length
                          scene_points: np.ndarray) -> np.ndarray:
     """(K,) bool: does the cylinder extending backward (-z) from the origin
     of each of K frames (K, 3, 4) hit a scene point or the table halfspace?
-    The point test runs in chunks of about _FILTER_CHUNK (frame, point) pairs."""
+    Frames whose cylinder reaches no bounding sphere of a _FILTER_POINTS-row
+    block of `scene_points` are misses; the rest run the exact point test
+    against all points, in chunks of about _FILTER_CHUNK (frame, point) pairs."""
     axis = -frames[:, :, 2]
     origin = frames[:, :, 3]
     n = scene.table_normal
@@ -272,6 +274,23 @@ def _approach_collisions(frames: np.ndarray, scene: Scene, radius: float, length
     radial_slack = radius * np.sqrt(np.maximum(0.0, 1.0 - axial * axial))
     hits = np.minimum(h_origin, h_end) - radial_slack < 0.0
     todo = np.flatnonzero(~hits)
+    # cull: a point within distance rho of c moves `along` and the distance
+    # to the axis by at most rho, so a frame whose cylinder, grown by rho,
+    # misses every block's centre c holds no point; the slack covers rounding
+    starts = np.arange(0, len(scene_points), _FILTER_POINTS)
+    if len(todo) and len(starts):
+        lo = np.minimum.reduceat(scene_points, starts)
+        centre = lo + 0.5 * (np.maximum.reduceat(scene_points, starts) - lo)
+        off = scene_points - np.repeat(centre, np.diff(starts, append=len(scene_points)), axis=0)
+        rho = np.sqrt(np.maximum.reduceat(np.einsum("ij,ij->i", off, off), starts))
+        slack = 1e-9 * (1.0 + max(np.abs(scene_points).max(), np.abs(origin[todo]).max(), length + radius))
+        rel = centre[None] - origin[todo, None]  # (t, B, 3)
+        along = np.einsum("tbi,ti->tb", rel, axis[todo])
+        perp = rel - along[..., None] * axis[todo, None]
+        dist = np.sqrt(np.einsum("tbi,tbi->tb", perp, perp))
+        # written as "not out of reach", so that NaN keeps a frame live
+        out = (along < -rho - slack) | (along > length + rho + slack) | (dist > radius + rho + slack)
+        todo = todo[~out.all(axis=1)]
     step = max(1, _FILTER_CHUNK // max(1, len(scene_points)))
     for start in range(0, len(todo), step):
         rows = todo[start:start + step]

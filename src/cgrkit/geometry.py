@@ -204,6 +204,8 @@ class TriangleMesh:
 
     def __init__(self, vertices, triangles):
         self.vertices = np.array(vertices, dtype=float).reshape(-1, 3)
+        if not np.isfinite(self.vertices).all():
+            raise GeometryError("mesh vertices must be finite")
         self.triangles = np.array(triangles, dtype=np.int64).reshape(-1, 3)
         if len(self.triangles) and (
             self.triangles.min() < 0 or self.triangles.max() >= len(self.vertices)
@@ -247,8 +249,7 @@ class TriangleMesh:
 
         Returns (t, normal) or None. Hits with t <= RAY_T_MIN are ignored.
         """
-        if t_max <= 0:
-            raise GeometryError("t_max must be positive")
+        _check_t_max(t_max)
         origin = np.asarray(origin, dtype=float).reshape(1, 3)
         direction = np.asarray(direction, dtype=float).reshape(1, 3)
         bvh = self._ensure_bvh()
@@ -263,6 +264,7 @@ class TriangleMesh:
         """Reference oracle for the BVH: one ray against every triangle with
         the same kernel and semantics as `ray_intersect`. Only the tests and
         perfbench's replay check call it."""
+        _check_t_max(t_max)
         origin = np.asarray(origin, dtype=float).reshape(3)
         direction = np.asarray(direction, dtype=float).reshape(3)
         t = _moller_trumbore(origin, direction, self._v0, self._e1, self._e2, t_max)
@@ -277,6 +279,7 @@ class TriangleMesh:
 
         Returns (t, tri_index): t = np.inf and tri = -1 for misses.
         """
+        _check_t_max(t_max)
         origins = np.asarray(origins, dtype=float).reshape(-1, 3)
         directions = np.asarray(directions, dtype=float).reshape(-1, 3)
         t_out = np.full(len(origins), np.inf)
@@ -288,6 +291,11 @@ class TriangleMesh:
             e = s + _RAY_CHUNK
             t_out[s:e], tri_out[s:e] = bvh.intersect(origins[s:e], directions[s:e], t_max)
         return t_out, tri_out
+
+
+def _check_t_max(t_max):
+    if not t_max > 0:  # also rejects NaN; inf is a valid bound
+        raise GeometryError("t_max must be positive")
 
 
 # rays per BVH walk: bounds the (ray, node) and (ray, triangle) pair arrays,

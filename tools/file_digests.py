@@ -10,11 +10,15 @@ round of `perfbench/run.py --seed N` (round seed N * 1000), and prints:
 - one sha256 over every `is_covered` verdict of the round, with their count;
 - one sha256 over every grasp list that `detect` and `detect_baseline`
   returned in the round, each written through the CLI's grasp CSV writer;
-- one sha256 over the sequence of grasp-oracle outcomes, with their count.
+- one sha256 over the sequence of grasp-oracle outcomes, with their count;
+- one sha256 over the `valid` mask of every `annotate_scene` call of the
+  round (the written dataset's and the warm calls of detect and evaluate),
+  with the call count and the valid and total record counts.
 
 Two checkouts that print the same lines wrote byte-identical files, sampled
 bit-identical pools, judged every coverage probe alike, returned the same
-grasps to the CSV's printed precision and judged every executed grasp alike.
+grasps to the CSV's printed precision, judged every executed grasp alike and
+kept the same records through the approach filter.
 
 Run from the repo root:  python3 tools/file_digests.py --workload loop --seed 7
 """
@@ -34,15 +38,16 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import workloads  # noqa: E402
-from cgrkit import cli, coverage, pipeline  # noqa: E402
+from cgrkit import annotation, cli, coverage, pipeline  # noqa: E402
 
 
 def _recorded_round(spec, seed: int, workdir: str):
-    """run_round with pipeline.detect, detect_baseline and grasp_oracle and
-    coverage.is_covered rebound to recorders (evaluate and the benchmark call
-    them through their modules); returns the round, the grasp-CSV digest and
-    count, the oracle outcomes and the coverage verdicts."""
-    grasps, outcomes, verdicts, n_lists = hashlib.sha256(), [], [], 0
+    """run_round with pipeline.detect, detect_baseline and grasp_oracle,
+    coverage.is_covered and annotate_scene (in `annotation`, where the
+    benchmark calls it, and in `pipeline`, where evaluate calls it) rebound to
+    recorders; returns the round, the grasp-CSV digest and count, the oracle
+    outcomes, the coverage verdicts and the valid masks."""
+    grasps, outcomes, verdicts, masks, n_lists = hashlib.sha256(), [], [], [], 0
     csv_path = os.path.join(workdir, "grasps.csv")
 
     def recording(fn):
@@ -66,19 +71,26 @@ def _recorded_round(spec, seed: int, workdir: str):
         verdicts.append(bool(covered))
         return covered
 
+    def annotate_scene(*args, **kwargs):
+        dataset = saved_annotate(*args, **kwargs)
+        masks.append(dataset.valid.copy())
+        return dataset
+
     saved = {name: getattr(pipeline, name) for name in ("detect", "detect_baseline", "grasp_oracle")}
-    saved_is_covered = coverage.is_covered
+    saved_is_covered, saved_annotate = coverage.is_covered, annotation.annotate_scene
     pipeline.detect = recording(saved["detect"])
     pipeline.detect_baseline = recording(saved["detect_baseline"])
     pipeline.grasp_oracle = oracle
     coverage.is_covered = is_covered
+    annotation.annotate_scene = pipeline.annotate_scene = annotate_scene
     try:
         rnd = workloads.run_round(spec, workloads.make_fixtures(spec), seed=seed, workdir=workdir)
     finally:
         for name, fn in saved.items():
             setattr(pipeline, name, fn)
         coverage.is_covered = saved_is_covered
-    return rnd, grasps.hexdigest(), n_lists, outcomes, verdicts
+        annotation.annotate_scene = pipeline.annotate_scene = saved_annotate
+    return rnd, grasps.hexdigest(), n_lists, outcomes, verdicts, masks
 
 
 def main(argv=None) -> int:
@@ -88,7 +100,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     spec = workloads.SPECS[args.workload]
     with tempfile.TemporaryDirectory() as workdir:
-        rnd, grasps, n_lists, outcomes, verdicts = _recorded_round(spec, args.seed * 1000, workdir)
+        rnd, grasps, n_lists, outcomes, verdicts, masks = _recorded_round(spec, args.seed * 1000, workdir)
         for name, path in sorted(rnd.check_inputs["paths"].items()):
             with open(path, "rb") as f:
                 print(f"{name} {hashlib.sha256(f.read()).hexdigest()}")
@@ -103,6 +115,11 @@ def main(argv=None) -> int:
     print(f"grasps {grasps} ({n_lists} lists)")
     oracle = hashlib.sha256(bytes(outcomes)).hexdigest()
     print(f"oracle {oracle} ({len(outcomes)} outcomes, {sum(outcomes)} successes)")
+    valid = hashlib.sha256()
+    for mask in masks:
+        valid.update(mask.tobytes())
+    n_valid, n_records = sum(int(m.sum()) for m in masks), sum(len(m) for m in masks)
+    print(f"valid {valid.hexdigest()} ({len(masks)} calls, {n_valid} valid of {n_records})")
     return 0
 
 
