@@ -281,9 +281,9 @@ def _approach_collisions(frames: np.ndarray, scene: Scene, radius: float, length
     if len(todo) and len(starts):
         lo = np.minimum.reduceat(scene_points, starts)
         centre = lo + 0.5 * (np.maximum.reduceat(scene_points, starts) - lo)
-        off = scene_points - np.repeat(centre, np.diff(starts, append=len(scene_points)), axis=0)
+        off = scene_points - centre[np.arange(len(scene_points)) // _FILTER_POINTS]
         rho = np.sqrt(np.maximum.reduceat(np.einsum("ij,ij->i", off, off), starts))
-        slack = 1e-9 * (1.0 + max(np.abs(scene_points).max(), np.abs(origin[todo]).max(), length + radius))
+        slack = 1e-9 * (1.0 + max(np.abs(scene_points).max(), np.abs(origin[todo]).max()))
         rel = centre[None] - origin[todo, None]  # (t, B, 3)
         along = np.einsum("tbi,ti->tb", rel, axis[todo])
         perp = rel - along[..., None] * axis[todo, None]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from cgrkit import bundled_hand_path
+from cgrkit import annotation, bundled_hand_path
 from cgrkit.annotation import Scene, SceneInstance
 from cgrkit.cgr import CgrGridParams, antipodal_rep, compute_cgr
 from cgrkit.coverage import (
@@ -161,6 +161,34 @@ def reference_voxelize(mesh, voxel_size):
         keep &= np.all((p.min(axis=0) - c <= r + 1e-12) & (p.max(axis=0) - c >= -r - 1e-12), axis=1)
         mask[tuple((cells[keep] - offset).T)] = True
     return VoxelGrid(origin, voxel_size, mask, offset)
+
+
+def reference_approach_collisions(frames, scene, radius, length, scene_points):
+    """annotation._approach_collisions without the bounding-sphere cull: the
+    table test, then the exact point test of every live frame against every
+    point, in chunks of about _FILTER_CHUNK (frame, point) pairs."""
+    axis = -frames[:, :, 2]
+    origin = frames[:, :, 3]
+    n = scene.table_normal
+
+    def dot_n(v):  # per row v[k] . n, summed as np.dot sums one vector pair
+        return np.matmul(v[:, None, :], n[:, None])[:, 0, 0]
+
+    h_origin = dot_n(origin - scene.table_point)
+    h_end = dot_n(origin + length * axis - scene.table_point)
+    axial = np.abs(dot_n(axis))
+    radial_slack = radius * np.sqrt(np.maximum(0.0, 1.0 - axial * axial))
+    hits = np.minimum(h_origin, h_end) - radial_slack < 0.0
+    todo = np.flatnonzero(~hits)
+    step = max(1, annotation._FILTER_CHUNK // max(1, len(scene_points)))
+    for start in range(0, len(todo), step):
+        rows = todo[start:start + step]
+        rel = scene_points[None] - origin[rows, None]  # (c, P, 3)
+        along = np.matmul(rel, axis[rows, :, None])[..., 0]
+        c, p = np.nonzero((along >= 0.0) & (along <= length))
+        perp = rel[c, p] - along[c, p, None] * axis[rows[c]]
+        hits[rows[c[np.einsum("ij,ij->i", perp, perp) <= radius * radius]]] = True
+    return hits
 
 
 def assert_same_grid(got, want):

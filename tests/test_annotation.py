@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cgrkit import annotation
 from cgrkit.annotation import (
     AnnotationError,
     AnnotationParams,
@@ -29,7 +32,7 @@ from cgrkit.geometry import (
     save_obj,
 )
 
-from conftest import simple_scene
+from conftest import random_rotation, reference_approach_collisions, simple_scene
 
 SMALL = AnnotationParams(
     surface_resolution=0.0125, approach_directions=12, grid=CgrGridParams()
@@ -293,6 +296,137 @@ def test_filter_points_come_from_the_scene_cloud(monkeypatch):
     assert len(tested) == 3
     for idx, got in enumerate(tested):
         assert np.array_equal(got, np.vstack([p for i, p in enumerate(points) if i != idx]))
+
+
+def _ulps(x, n):
+    """x moved by n (-1, 0 or 1) ulps."""
+    return np.nextafter(x, n * np.inf) if n else x
+
+
+@st.composite
+def _filter_cases(draw):
+    """(frames, scene, radius, length, points, rows per block) for the
+    approach filter: random and axis-aligned frames about a metre apart over
+    a tilted table, all shifted by one offset of up to 1e6, and per frame at
+    most one block of points near it:
+    - "edge": points on the frame's start cap, end cap or side, or copies
+    - "graze": one such point and copies of it moved outward, so that the
+      block's bounding sphere touches the cylinder grown by its radius
+    - "free" and "far" points, or none.
+    A cap or side point sits where the filter's arithmetic puts its `along`
+    at 0 or `length`, or its distance to the axis at `radius`, or one ulp
+    off. A short last block and an empty array occur too."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = rng.standard_normal(3) * draw(st.sampled_from([0.0, 0.0, 0.0, 1.0, 1e3, 1e6]))
+    radius, length = draw(st.sampled_from([0.01, 0.06])), draw(st.sampled_from([0.05, 0.25]))
+    rotations = []
+    for _ in range(draw(st.integers(1, 12))):
+        aligned = draw(st.sampled_from([None, 0, 1, 2]))
+        if aligned is None:
+            rotations.append(random_rotation(rng))
+        else:
+            rotations.append(frame_from_z(np.eye(3)[aligned] * draw(st.sampled_from([1.0, -1.0]))))
+    frames = np.stack([frame_array(R, offset + rng.uniform(-1.0, 1.0, 3)) for R in rotations])
+    table = offset + [0.0, 0.0, draw(st.sampled_from([-2.0, -2.0, -0.5, 0.0]))]
+    scene = Scene([], table, [*rng.uniform(-0.4, 0.4, 2), 1.0], {})
+    rows = draw(st.sampled_from([1, 2, 3, 5]))
+    points, placed, copies = [], [], []  # copies: (row, source row, shift)
+
+    def boundary(k):
+        """A point on frame k's cylinder, recorded for placement, and its
+        outward direction."""
+        axis = -frames[k, :, 2]
+        angle = rng.uniform(0, 2 * np.pi)
+        u = np.cos(angle) * frames[k, :, 0] + np.sin(angle) * frames[k, :, 1]
+        where, n = draw(st.sampled_from(["start", "end", "end", "side"])), draw(st.integers(-1, 1))
+        if where == "side":
+            at, target, move, out = rng.uniform(0, length), ("radius", _ulps(radius, n)), u, u
+            s = radius
+        else:
+            at = 0.0 if where == "start" else length
+            target, move, out = ("along", _ulps(at, n)), axis, (axis if at else -axis)
+            s = radius * draw(st.sampled_from([0.0, 0.5, 1.0]))
+        placed.append((len(points), k, target, move))
+        points.append(frames[k, :, 3] + at * axis + s * u)
+        return out
+
+    for k in range(len(frames)):
+        kind = draw(st.sampled_from(["graze"] * 4 + ["edge", "free", "far", "none"]))
+        if kind == "edge":
+            first, same = len(points), draw(st.booleans())
+            for i in range(rows):
+                if same and i:
+                    copies.append((len(points), first, 0.0))
+                    points.append(points[first])
+                else:
+                    boundary(k)
+        elif kind == "graze":
+            first = len(points)
+            shift = 2 * rng.uniform(1e-3, 0.05) * boundary(k)
+            for i in rng.permutation(rows)[1:]:
+                copies.append((len(points), first, 0.0 if i % 2 else shift))
+                points.append(points[first])
+        elif kind in ("free", "far"):
+            points += list(frames[k, :, 3] + (0.0 if kind == "free" else 2.0) + rng.uniform(-0.3, 0.3, (rows, 3)))
+    points = np.array(points, dtype=float).reshape(-1, 3)
+    points = points[:len(points) - draw(st.integers(0, min(rows - 1, len(points))))]
+    # move each placed point along the axis (or radially) until the filter's
+    # arithmetic, at the point's row of the whole array, meets its target
+    for row, k, (what, target), move in placed:
+        axis, origin = -frames[k, :, 2], frames[k, :, 3]
+        for _ in range(4):
+            if row >= len(points):
+                break
+            rel = points - origin
+            along = np.matmul(rel[None], axis[None, :, None])[0, :, 0]
+            if what == "along":
+                miss = target - along[row]
+            else:
+                perp = rel[row] - along[row] * axis
+                miss = target - np.sqrt(np.einsum("i,i->", perp, perp))
+            if miss == 0.0:
+                break
+            points[row] += miss * move
+    for row, source, shift in copies:
+        if row < len(points):
+            points[row] = points[source] + shift
+    return frames, scene, radius, length, points, rows
+
+
+def _end_cap_graze():
+    """A two-point block whose bounding sphere touches the end of the grown
+    cylinder: its inner point sits where the filter's arithmetic puts
+    `along` at exactly `length`, and without the cull's slack rounding
+    would drop the frame."""
+    z = np.array([-0.9141490681831038, -0.10496149644078663, -0.3915540389331644])
+    frames = frame_array(frame_from_z(z), [-0.773, -0.218, 0.033])[None]
+    p = np.array([-0.5444627329542241, -0.19175962588980333, 0.13088850973329108])
+    points = np.array([p, p - 0.06 * frames[0, :, 2]])
+    return frames, Scene([], [0.0, 0.0, -2.0], [0.0, 0.0, 1.0], {}), 0.01, 0.25, points, 2
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(_filter_cases())
+@example(_end_cap_graze())
+def test_filter_matches_reference_on_generated_cases(case):
+    """The bounding-sphere cull never drops a frame that the exact point
+    test would flag, for any block size."""
+    frames, scene, radius, length, points, rows = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(annotation, "_FILTER_POINTS", rows)
+        got = _approach_collisions(frames, scene, radius, length, points)
+    assert np.array_equal(got, reference_approach_collisions(frames, scene, radius, length, points))
+
+
+def test_filter_on_a_single_instance_scene():
+    """With no other instance there are no points: only the table test
+    flags frames, and annotate_scene's mask is the reference's."""
+    scene = simple_scene()
+    ds = annotate_scene(scene, SMALL)
+    want = reference_approach_collisions(ds.frames, scene, SMALL.cylinder_radius, SMALL.cylinder_length,
+                                         np.zeros((0, 3)))
+    assert np.array_equal(ds.valid, ~want)
+    assert 0 < ds.valid.sum() < len(ds)
 
 
 def test_filter_validates_params():

@@ -289,6 +289,95 @@ def test_ray_respects_t_max(cube):
     assert cube.ray_intersect(np.zeros(3), np.array([1.0, 0.0, 0.0]), 0.01) is None
 
 
+@pytest.mark.parametrize("t_max", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("cast", ["ray_intersect", "ray_intersect_batch", "ray_intersect_brute"])
+def test_ray_casts_reject_bad_t_max(cube, cast, t_max):
+    with pytest.raises(GeometryError, match="t_max"):
+        getattr(cube, cast)(np.zeros(3), np.array([1.0, 0.0, 0.0]), t_max)
+
+
+def test_ray_casts_accept_infinite_t_max(cube):
+    o, d = np.zeros(3), np.array([1.0, 0.0, 0.0])
+    t, tri = cube.ray_intersect_batch(o, d, np.inf)
+    assert cube.ray_intersect(o, d, np.inf)[0] == cube.ray_intersect_brute(o, d, np.inf)[0] == t[0] == 0.025
+
+
+@st.composite
+def _ray_cases(draw):
+    """(mesh, origins, directions, t_max): a small box, icosphere or
+    cylinder, posed or not, or a triangle soup with degenerate and
+    duplicated triangles; rays from vertices, points on edges, points on
+    the planes of the mesh's box or of a BVH node box, and free points, cast
+    along an axis, within a coordinate plane, with a subnormal component,
+    towards a vertex or anywhere; t_max from 1e-9 to 1e6, or inf."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["box", "sphere", "cylinder", "soup"]))
+    if shape == "soup":
+        vertices, _ = draw(_triangle_soups())
+        mesh = TriangleMesh(vertices, np.arange(len(vertices)).reshape(-1, 3))
+    else:
+        mesh = {"box": lambda: make_box(rng.uniform(0.01, 0.1, 3)),
+                "sphere": lambda: make_icosphere(0.03, 1),
+                "cylinder": lambda: make_cylinder(0.02, 0.05, 8)}[shape]()
+        if draw(st.booleans()):
+            mesh = mesh.transformed(random_transform(rng, 0.05))
+    corners = mesh.vertices[mesh.triangles]
+    lo, hi = mesh.bounds()
+    nodes = mesh._ensure_bvh().box
+    origins, dirs = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        tri, j = corners[rng.integers(len(corners))], rng.integers(3)
+        kind = draw(st.sampled_from(["vertex", "edge", "bounds", "node", "free"]))
+        if kind == "vertex":
+            o = tri[j]
+        elif kind == "edge":
+            o = tri[j] + draw(st.sampled_from([0.5, rng.uniform()])) * (tri[(j + 1) % 3] - tri[j])
+        elif kind in ("bounds", "node"):
+            box_lo, box_hi = (lo, hi) if kind == "bounds" else nodes[rng.integers(len(nodes))]
+            o = rng.uniform(box_lo - 0.01, box_hi + 0.01)
+            axis = rng.integers(3)
+            o[axis] = (box_lo, box_hi)[rng.integers(2)][axis]
+        else:
+            o = rng.uniform(lo - 0.05, hi + 0.05)
+        aim = draw(st.sampled_from(["axis", "plane", "subnormal", "towards", "free"]))
+        if aim == "axis":
+            d = np.eye(3)[rng.integers(3)] * rng.choice([-1.0, 1.0])
+        elif aim == "towards":
+            d = corners[rng.integers(len(corners)), rng.integers(3)] - o
+        else:
+            d = rng.standard_normal(3)
+            if aim != "free":
+                d[rng.integers(3)] = 0.0 if aim == "plane" else rng.choice([-1e-310, 1e-310])
+        origins.append(o)
+        dirs.append(d)
+    t_max = draw(st.one_of(st.floats(-9, 6).map(lambda e: 10.0 ** e), st.sampled_from([1e-9, 1e6, np.inf])))
+    return mesh, np.array(origins, dtype=float), np.array(dirs, dtype=float), t_max
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_ray_cases())
+def test_ray_casts_match_brute_force_on_generated_rays(case):
+    """ray_intersect_batch and ray_intersect give ray_intersect_brute's hit
+    bit for bit, and that hit is the nearest of the one-triangle brute casts,
+    ties to the lowest triangle index."""
+    mesh, origins, dirs, t_max = case
+    singles = [TriangleMesh(c, [[0, 1, 2]]) for c in mesh.vertices[mesh.triangles]]
+    t, tri = mesh.ray_intersect_batch(origins, dirs, t_max)
+    for i, (o, d) in enumerate(zip(origins, dirs)):
+        per_tri = [s.ray_intersect_brute(o, d, t_max) for s in singles]
+        each = [np.inf if hit is None else hit[0] for hit in per_tri]
+        want = min(each)
+        want_tri = each.index(want) if want < np.inf else -1
+        assert t[i] == want and tri[i] == want_tri
+        brute, single = mesh.ray_intersect_brute(o, d, t_max), mesh.ray_intersect(o, d, t_max)
+        if want_tri < 0:
+            assert brute is None and single is None
+        else:
+            assert brute[0] == single[0] == want
+            assert np.array_equal(brute[1], mesh.normals[want_tri])
+            assert np.array_equal(single[1], mesh.normals[want_tri])
+
+
 def test_mesh_arrays_are_read_only():
     m = make_box((1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
@@ -630,6 +719,26 @@ def test_stl_load(tmp_path):
         (tmp_path / "cut.stl").write_bytes(blob[:cut])
         with pytest.raises(GeometryError, match="truncated file"):
             load_stl(tmp_path / "cut.stl")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mesh_rejects_non_finite_vertices(tmp_path, bad):
+    """A non-finite vertex raises at construction, so the readers report it,
+    instead of voxelizing to an empty grid."""
+    import struct
+
+    box = make_box((1.0, 1.0, 1.0))
+    vertices = box.vertices.copy()
+    vertices[3, 1] = bad
+    with pytest.raises(GeometryError, match="finite"):
+        TriangleMesh(vertices, box.triangles)
+    (tmp_path / "t.obj").write_text(f"v 0 0 0\nv {bad} 0 0\nv 0 1 0\nf 1 2 3\n")
+    with pytest.raises(GeometryError, match="finite"):
+        load_obj(tmp_path / "t.obj")
+    record = struct.pack("<12f", 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, bad, 0) + struct.pack("<H", 0)
+    (tmp_path / "t.stl").write_bytes(b"\0" * 80 + struct.pack("<I", 1) + record)
+    with pytest.raises(GeometryError, match="finite"):
+        load_stl(tmp_path / "t.stl")
 
 
 def test_mesh_normals_outward(cube):
