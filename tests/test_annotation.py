@@ -310,8 +310,9 @@ def _filter_cases(draw):
     a tilted table, all shifted by one offset of up to 1e6, and per frame at
     most one block of points near it:
     - "edge": points on the frame's start cap, end cap or side, or copies
-    - "graze": one such point and copies of it moved outward, so that the
-      block's bounding sphere touches the cylinder grown by its radius
+    - "graze": one such point, then alternately a copy moved outward and
+      a copy, so that the block's bounding sphere touches the cylinder
+      grown by its radius
     - "free" and "far" points, or none.
     A cap or side point sits where the filter's arithmetic puts its `along`
     at 0 or `length`, or its distance to the axis at `radius`, or one ulp
@@ -363,8 +364,8 @@ def _filter_cases(draw):
         elif kind == "graze":
             first = len(points)
             shift = 2 * rng.uniform(1e-3, 0.05) * boundary(k)
-            for i in rng.permutation(rows)[1:]:
-                copies.append((len(points), first, 0.0 if i % 2 else shift))
+            for i in range(1, rows):
+                copies.append((len(points), first, shift if i % 2 else 0.0))
                 points.append(points[first])
         elif kind in ("free", "far"):
             points += list(frames[k, :, 3] + (0.0 if kind == "free" else 2.0) + rng.uniform(-0.3, 0.3, (rows, 3)))

@@ -194,6 +194,10 @@ def test_bvh_identical_to_brute_force(sphere, cube):
         lo, hi = mesh.bounds()
         starts = [np.zeros(3), lo, hi, *mesh.vertices[::7], *rng.uniform(-0.03, 0.03, (5, 3))]
         rays += [(mesh, o, d) for o in starts for d in np.vstack([np.eye(3), -np.eye(3)])]
+    # from every vertex of a 32-segment cylinder: without the padded boxes,
+    # six of these rays lose their lowest-index tie
+    cylinder = make_cylinder(0.02, 0.05, 32)
+    rays += [(cylinder, o, d) for o in cylinder.vertices for d in np.vstack([np.eye(3), -np.eye(3)])]
     for mesh, origin, direction in rays:
         a = mesh.ray_intersect(origin, direction, 0.3)
         b = mesh.ray_intersect_brute(origin, direction, 0.3)
