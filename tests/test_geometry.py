@@ -302,7 +302,7 @@ def test_ray_casts_reject_bad_t_max(cube, cast, t_max):
 
 def test_ray_casts_accept_infinite_t_max(cube):
     o, d = np.zeros(3), np.array([1.0, 0.0, 0.0])
-    t, tri = cube.ray_intersect_batch(o, d, np.inf)
+    t, _tri = cube.ray_intersect_batch(o, d, np.inf)
     assert cube.ray_intersect(o, d, np.inf)[0] == cube.ray_intersect_brute(o, d, np.inf)[0] == t[0] == 0.025
 
 
