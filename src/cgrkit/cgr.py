@@ -41,7 +41,7 @@ class CgrGridParams:
             raise CgrError("section_depths length must equal n_sections")
         if any(b <= a for a, b in zip(depths, depths[1:])):
             raise CgrError("section_depths must be strictly increasing")
-        if self.d_max <= 0:
+        if not self.d_max > 0:  # also rejects NaN; inf is a valid ray bound
             raise CgrError("d_max must be positive")
         object.__setattr__(self, "section_depths", depths)
 

@@ -336,11 +336,13 @@ def _moller_trumbore(origins, directions, v0, e1, e2, t_max):
 class _Bvh:
     """Median-split AABB tree in flat arrays, the one ray-casting engine.
 
-    Nodes are numbered breadth first: node i has the box box[i] = [lo, hi]
-    and the two children children[i], or children[i] = [-1, -1] and up to
+    Nodes are numbered breadth first: node i has the box box[i] = [lo, hi],
+    also held as per-axis columns lo[axis][i] and hi[axis][i], and the two
+    children first[i] and first[i] + 1, or first[i] = -1 and up to
     _LEAF_SIZE sorted triangle ids in leaf_tris[i], padded with -1.
-    `intersect` walks a whole ray batch down the tree level by level, then
-    runs `_moller_trumbore`, also the kernel of the brute-force oracle
+    `intersect` walks a whole ray batch down the tree level by level, with
+    slab tests of elementwise ufuncs over the columns, then runs
+    `_moller_trumbore`, also the kernel of the brute-force oracle
     `TriangleMesh.ray_intersect_brute`, over the (ray, leaf triangle) pairs.
     Padded boxes keep slab-test rounding from pruning a hit and ties go to
     the lowest triangle index, so results are bit-identical to the oracle."""
@@ -357,7 +359,7 @@ class _Bvh:
         # nodes, node by node, and seg[k] is the rank of perm[k]'s node
         perm = np.arange(len(corners))
         seg = np.zeros(len(perm), dtype=np.int64)
-        boxes, children, leaf_tris = [], [], []
+        boxes, first, leaf_tris = [], [], []
         n_nodes = 0
         while len(perm):
             starts = np.flatnonzero(np.diff(seg, prepend=-1))
@@ -368,7 +370,7 @@ class _Bvh:
             leaf = sizes <= self._LEAF_SIZE
             inner_rank = np.cumsum(~leaf) - 1
             n_nodes += len(starts)
-            children.append(np.where(leaf[:, None], -1, n_nodes + 2 * inner_rank[:, None] + [0, 1]))
+            first.append(np.where(leaf, -1, n_nodes + 2 * inner_rank))
             # stable sort within each node: inner nodes by centroid along the
             # box's longest axis (the median split), leaves by triangle id
             in_leaf = leaf[seg]
@@ -382,35 +384,41 @@ class _Bvh:
             # the lower half of an inner node goes to its first child
             child = 2 * inner_rank[seg] + (rank >= (sizes // 2)[seg])
             perm, seg = perm[~in_leaf], child[~in_leaf]
-        self.box, self.children, self.leaf_tris = map(np.concatenate, (boxes, children, leaf_tris))
+        self.box, self.first, self.leaf_tris = map(np.concatenate, (boxes, first, leaf_tris))
+        self.lo, self.hi = (np.ascontiguousarray(self.box[:, k].T) for k in (0, 1))  # (3, N) each
+        for a in (self.box, self.first, self.leaf_tris, self.lo, self.hi):
+            a.setflags(write=False)
 
     def intersect(self, origins, directions, t_max):
         """Nearest hit of each ray: (t, tri), np.inf and -1 on a miss."""
         # an axis with a zero or subnormal direction component holds the whole
         # ray iff it holds the origin, planes included; the others bound t
-        parallel = np.abs(directions) < np.finfo(float).tiny
-        inv_dir = 1.0 / np.where(parallel, 1.0, directions)[:, None]
-        any_parallel = parallel.any()
+        origin, direction = np.ascontiguousarray(origins.T), np.ascontiguousarray(directions.T)
+        parallel = np.abs(direction) < np.finfo(float).tiny
+        inv_dir = 1.0 / np.where(parallel, 1.0, direction)
+        axis_parallel = parallel.any(axis=1)
         ray = np.arange(len(origins))
         node = np.zeros(len(origins), dtype=np.int64)
         leaf_rays, leaf_nodes = [], []
         while len(ray):
-            box, o = self.box[node], origins[ray][:, None]
-            t = (box - o) * inv_dir[ray]
-            near, far = t.min(axis=1), t.max(axis=1)
-            if any_parallel:  # rare: other batches skip these array passes
-                par = parallel[ray]
-                inside = (box[:, 0] <= o[:, 0]) & (o[:, 0] <= box[:, 1])
-                near = np.where(par, np.where(inside, -np.inf, np.inf), near)
-                far = np.where(par, np.inf, far)
-            enter = np.maximum(near.max(axis=1), 0.0) <= np.minimum(far.min(axis=1), t_max)
+            near, far = 0.0, t_max
+            for a in range(3):  # min and max are exact and propagate NaN
+                lo, hi, o, inv = self.lo[a][node], self.hi[a][node], origin[a][ray], inv_dir[a][ray]
+                t_lo, t_hi = (lo - o) * inv, (hi - o) * inv
+                a_near, a_far = np.minimum(t_lo, t_hi), np.maximum(t_lo, t_hi)
+                if axis_parallel[a]:  # rare: other batches skip these array passes
+                    par = parallel[a][ray]
+                    a_near = np.where(par, np.where((lo <= o) & (o <= hi), -np.inf, np.inf), a_near)
+                    a_far = np.where(par, np.inf, a_far)
+                near, far = np.maximum(near, a_near), np.minimum(far, a_far)
+            enter = near <= far
             ray, node = ray[enter], node[enter]
-            kids = self.children[node]
-            leaf = kids[:, 0] < 0
+            kids = self.first[node]
+            leaf = kids < 0
             leaf_rays.append(ray[leaf])
             leaf_nodes.append(node[leaf])
             inner = ~leaf
-            ray, node = ray[inner].repeat(2), kids[inner].reshape(-1)
+            ray, node = ray[inner].repeat(2), (kids[inner, None] + [0, 1]).reshape(-1)
         tris = self.leaf_tris[np.concatenate(leaf_nodes)]
         pair, slot = np.nonzero(tris >= 0)
         ray, tri = np.concatenate(leaf_rays)[pair], tris[pair, slot]

@@ -67,7 +67,7 @@ class GraspTypeSpec:
             raise HandError("axes parallel")
         if len(self.fingertip_rays) < 2:
             raise HandError("need at least 2 fingertip rays")
-        if self.max_close_travel <= 0:
+        if not self.max_close_travel > 0:  # also rejects NaN; inf is a valid ray bound
             raise HandError("max_close_travel must be positive")
         a, c = self.approach_axis, self.principal_closing_axis
         c_perp = c - np.dot(c, a) * a

@@ -15,6 +15,7 @@ from cgrkit.cgr import (
     record_dtype,
 )
 from cgrkit import geometry
+from cgrkit.annotation import AnnotationParams, candidate_frames
 from cgrkit.geometry import RigidTransform, frame_array, rotation_z
 
 from conftest import reference_grasp_pose, random_transform
@@ -41,6 +42,16 @@ def test_grid_params_validation():
         CgrGridParams(section_depths=(0.01,))  # length mismatch
     with pytest.raises(CgrError):
         CgrGridParams(d_max=0.0)
+
+
+@pytest.mark.parametrize("d_max", [0.0, -0.01, float("nan")])
+def test_grid_params_reject_non_positive_d_max(d_max):
+    with pytest.raises(CgrError, match="d_max must be positive"):
+        CgrGridParams(d_max=d_max)
+
+
+def test_grid_params_accept_infinite_d_max():
+    assert CgrGridParams(d_max=np.inf).d_max == np.inf
 
 
 def _random_cgr(rng, params=None):
@@ -147,6 +158,46 @@ def test_compute_cgrs_matches_single(cube, slab):
     for frame, grid in zip(frames, batch):
         single = compute_cgr(cube, frame)
         assert np.array_equal(grid, single.grid)
+
+
+def _brute_grids(mesh, frames, p):
+    """cgr_grids one ray at a time through ray_intersect_brute, with the
+    rays built as cgr_grids builds them."""
+    dirs_local = np.column_stack([np.cos(p.alphas), np.sin(p.alphas), np.zeros(p.n_angles)])
+    out = np.empty((len(frames), p.n_sections, p.n_angles, 2))
+    for k, frame in enumerate(frames):
+        R = frame[:, :3]
+        dirs = dirs_local @ R.T
+        for j, depth in enumerate(p.section_depths):
+            origin = frame[:, 3] + depth * R[:, 2]
+            for i, d in enumerate(dirs):
+                hit = mesh.ray_intersect_brute(origin, d, p.d_max)
+                if hit is None:
+                    out[k, j, i] = p.d_max, p.theta_sentinel
+                else:
+                    cosang = np.einsum("ij,ij->i", d[None], hit[1][None])[0]
+                    out[k, j, i] = hit[0], np.arccos(np.clip(cosang, -1.0, 1.0))
+    return out
+
+
+@pytest.mark.parametrize("shape", ["box", "cylinder"])
+def test_cgr_grids_match_brute_force_rays(shape):
+    """cgr_grids on the candidate frames of a box and a 24-segment cylinder,
+    plus frames whose z-axis is a coordinate axis, equals a grid cast ray by
+    ray through the brute-force oracle, bit for bit. The axis frames put
+    exactly-zero direction components into the batches, so the walk's
+    parallel-axis branch runs inside cgr_grids."""
+    mesh = geometry.make_box((0.05, 0.04, 0.03)) if shape == "box" else geometry.make_cylinder(0.02, 0.05, 24)
+    frames = candidate_frames(mesh, AnnotationParams(surface_resolution=0.02, approach_directions=4))
+    axes = np.vstack([np.eye(3), -np.eye(3)])
+    frames = np.concatenate([frames, geometry.point_direction_frames(frames[::37, :, 3], axes)])
+    p = CgrGridParams()
+    dirs_local = np.column_stack([np.cos(p.alphas), np.sin(p.alphas), np.zeros(p.n_angles)])
+    assert (dirs_local @ frames[-1, :, :3].T == 0.0).any()
+    grids = cgr_grids(mesh, frames, p)
+    assert np.array_equal(grids, _brute_grids(mesh, frames, p))
+    hit = grids[..., 0] < p.d_max
+    assert hit.any() and not hit.all()
 
 
 def test_cgr_grids_chunked_equals_default(cube, monkeypatch):

@@ -244,6 +244,32 @@ def test_bvh_identical_to_brute_force(sphere, cube):
     assert hits > 1000
 
 
+def test_bvh_columns_and_consecutive_children(cube, sphere):
+    """The walk reads per-axis bound columns and steps to consecutive
+    siblings: the columns equal box[:, 0] and box[:, 1], each inner node's
+    children first[i] and first[i] + 1 lie inside its box, every node but
+    the root is the child of exactly one inner node, the leaves hold every
+    triangle once, and every array is read-only."""
+    one = TriangleMesh([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[0, 1, 2]])
+    for mesh in (cube, sphere, one):
+        bvh = mesh._ensure_bvh()
+        assert np.array_equal(bvh.lo, bvh.box[:, 0].T) and np.array_equal(bvh.hi, bvh.box[:, 1].T)
+        assert bvh.lo.flags.c_contiguous and bvh.hi.flags.c_contiguous
+        inner = np.flatnonzero(bvh.first >= 0)
+        for child in (bvh.first[inner], bvh.first[inner] + 1):
+            assert np.all(child > inner)
+            assert np.all(bvh.box[child, 0] >= bvh.box[inner, 0])
+            assert np.all(bvh.box[child, 1] <= bvh.box[inner, 1])
+        children = np.concatenate([bvh.first[inner], bvh.first[inner] + 1])
+        assert np.array_equal(np.sort(children), np.arange(1, len(bvh.box)))
+        assert np.all(bvh.leaf_tris[inner] == -1)
+        held = bvh.leaf_tris[bvh.first < 0]
+        assert np.array_equal(np.sort(held[held >= 0]), np.arange(len(mesh)))
+        for a in (bvh.box, bvh.lo, bvh.hi, bvh.first, bvh.leaf_tris):
+            assert not a.flags.writeable
+    assert len(sphere) == 5120 and len(sphere._ensure_bvh().box) > 1000
+
+
 def test_ray_cast_edge_cases(sphere):
     empty = TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
     x = np.array([1.0, 0.0, 0.0])

@@ -128,6 +128,19 @@ def test_spec_validation():
         HandSpec("h", [])
 
 
+@pytest.mark.parametrize("travel", [0.0, -0.1, float("nan")])
+def test_spec_rejects_non_positive_travel(travel):
+    ray = FingertipRay([0.05, 0, 0], [-1, 0, 0])
+    with pytest.raises(HandError, match="max_close_travel must be positive"):
+        GraspTypeSpec(0, "x", [1, 0, 0], [0, 0, 1], [ray, ray], make_box((0.01, 0.01, 0.01)), travel)
+
+
+def test_spec_accepts_infinite_travel():
+    ray = FingertipRay([0.05, 0, 0], [-1, 0, 0])
+    gt = GraspTypeSpec(0, "x", [1, 0, 0], [0, 0, 1], [ray, ray], make_box((0.01, 0.01, 0.01)), np.inf)
+    assert gt.max_close_travel == np.inf
+
+
 # ---------------------------------------------------------------------------
 # Candidate generation
 
