@@ -13,12 +13,19 @@ round of `perfbench/run.py --seed N` (round seed N * 1000), and prints:
 - one sha256 over the sequence of grasp-oracle outcomes, with their count;
 - one sha256 over the `valid` mask of every `annotate_scene` call of the
   round (the written dataset's and the warm calls of detect and evaluate),
-  with the call count and the valid and total record counts.
+  with the call count and the valid and total record counts;
+- one sha256 over the `(t, tri)` of every `ray_intersect_batch` call and the
+  result of every `ray_intersect` call of the round, with the call and ray
+  counts. The class methods are rebound, as perfbench's `RaySampler`
+  rebinds `ray_intersect`, so every cast counts: the CGR grids of records
+  that the approach filter invalidates, and the pool-sampling, render and
+  fingertip casts, which no file digest covers.
 
 Two checkouts that print the same lines wrote byte-identical files, sampled
 bit-identical pools, judged every coverage probe alike, returned the same
-grasps to the CSV's printed precision, judged every executed grasp alike and
-kept the same records through the approach filter.
+grasps to the CSV's printed precision, judged every executed grasp alike,
+kept the same records through the approach filter and got the same hit from
+every ray cast.
 
 Run from the repo root:  python3 tools/file_digests.py --workload loop --seed 7
 """
@@ -38,16 +45,20 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import workloads  # noqa: E402
-from cgrkit import annotation, cli, coverage, pipeline  # noqa: E402
+import numpy as np  # noqa: E402
+from cgrkit import annotation, cli, coverage, geometry, pipeline  # noqa: E402
 
 
 def _recorded_round(spec, seed: int, workdir: str):
     """run_round with pipeline.detect, detect_baseline and grasp_oracle,
-    coverage.is_covered and annotate_scene (in `annotation`, where the
-    benchmark calls it, and in `pipeline`, where evaluate calls it) rebound to
-    recorders; returns the round, the grasp-CSV digest and count, the oracle
-    outcomes, the coverage verdicts and the valid masks."""
+    coverage.is_covered, annotate_scene (in `annotation`, where the
+    benchmark calls it, and in `pipeline`, where evaluate calls it) and
+    TriangleMesh.ray_intersect_batch and ray_intersect rebound to recorders;
+    returns the round, the grasp-CSV digest and count, the oracle outcomes,
+    the coverage verdicts, the valid masks and the cast digest, call count
+    and ray count."""
     grasps, outcomes, verdicts, masks, n_lists = hashlib.sha256(), [], [], [], 0
+    casts, n_casts = hashlib.sha256(), [0, 0]
     csv_path = os.path.join(workdir, "grasps.csv")
 
     def recording(fn):
@@ -76,13 +87,33 @@ def _recorded_round(spec, seed: int, workdir: str):
         masks.append(dataset.valid.copy())
         return dataset
 
+    def ray_intersect_batch(mesh, *args, **kwargs):
+        t, tri = saved_batch(mesh, *args, **kwargs)
+        casts.update(t.tobytes())
+        casts.update(tri.tobytes())
+        n_casts[0] += 1
+        n_casts[1] += len(t)
+        return t, tri
+
+    def ray_intersect(mesh, *args, **kwargs):
+        hit = saved_single(mesh, *args, **kwargs)
+        casts.update(np.float64(np.inf if hit is None else hit[0]).tobytes())
+        if hit is not None:
+            casts.update(hit[1].tobytes())
+        n_casts[0] += 1
+        n_casts[1] += 1
+        return hit
+
     saved = {name: getattr(pipeline, name) for name in ("detect", "detect_baseline", "grasp_oracle")}
     saved_is_covered, saved_annotate = coverage.is_covered, annotation.annotate_scene
+    saved_batch, saved_single = geometry.TriangleMesh.ray_intersect_batch, geometry.TriangleMesh.ray_intersect
     pipeline.detect = recording(saved["detect"])
     pipeline.detect_baseline = recording(saved["detect_baseline"])
     pipeline.grasp_oracle = oracle
     coverage.is_covered = is_covered
     annotation.annotate_scene = pipeline.annotate_scene = annotate_scene
+    geometry.TriangleMesh.ray_intersect_batch = ray_intersect_batch
+    geometry.TriangleMesh.ray_intersect = ray_intersect
     try:
         rnd = workloads.run_round(spec, workloads.make_fixtures(spec), seed=seed, workdir=workdir)
     finally:
@@ -90,7 +121,9 @@ def _recorded_round(spec, seed: int, workdir: str):
             setattr(pipeline, name, fn)
         coverage.is_covered = saved_is_covered
         annotation.annotate_scene = pipeline.annotate_scene = saved_annotate
-    return rnd, grasps.hexdigest(), n_lists, outcomes, verdicts, masks
+        geometry.TriangleMesh.ray_intersect_batch = saved_batch
+        geometry.TriangleMesh.ray_intersect = saved_single
+    return rnd, grasps.hexdigest(), n_lists, outcomes, verdicts, masks, (casts.hexdigest(), *n_casts)
 
 
 def main(argv=None) -> int:
@@ -100,7 +133,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     spec = workloads.SPECS[args.workload]
     with tempfile.TemporaryDirectory() as workdir:
-        rnd, grasps, n_lists, outcomes, verdicts, masks = _recorded_round(spec, args.seed * 1000, workdir)
+        rnd, grasps, n_lists, outcomes, verdicts, masks, casts = _recorded_round(spec, args.seed * 1000, workdir)
         for name, path in sorted(rnd.check_inputs["paths"].items()):
             with open(path, "rb") as f:
                 print(f"{name} {hashlib.sha256(f.read()).hexdigest()}")
@@ -120,6 +153,7 @@ def main(argv=None) -> int:
         valid.update(mask.tobytes())
     n_valid, n_records = sum(int(m.sum()) for m in masks), sum(len(m) for m in masks)
     print(f"valid {valid.hexdigest()} ({len(masks)} calls, {n_valid} valid of {n_records})")
+    print(f"casts {casts[0]} ({casts[1]} calls, {casts[2]} rays)")
     return 0
 
 
