@@ -97,9 +97,7 @@ def _recorded_round(spec, seed: int, workdir: str):
 
     def ray_intersect(mesh, *args, **kwargs):
         hit = saved_single(mesh, *args, **kwargs)
-        casts.update(np.float64(np.inf if hit is None else hit[0]).tobytes())
-        if hit is not None:
-            casts.update(hit[1].tobytes())
+        casts.update(b"miss" if hit is None else np.float64(hit[0]).tobytes() + hit[1].tobytes())
         n_casts[0] += 1
         n_casts[1] += 1
         return hit
