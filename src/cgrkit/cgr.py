@@ -127,20 +127,52 @@ def compute_cgr(scene_mesh: TriangleMesh, frame: RigidTransform, params: CgrGrid
 def cgr_grids(scene_mesh: TriangleMesh, frames: np.ndarray, params: CgrGridParams) -> np.ndarray:
     """(K, M, N, 2) grids of K [R | t] frames (K, 3, 4) against one mesh.
     Per frame, ray (j, i) starts at depth j on the frame's z-axis and points
-    along its in-plane angle i. Rays are built and cast for whole frames of
-    about geometry._RAY_CHUNK rays at a time, so memory stays bounded."""
+    along its in-plane angle i.
+
+    The mesh's one BVH answers the grid by one of two queries with the same
+    bit-identical result: one tree walk per section, whose N rays share a
+    pole and a plane, or one walk per ray. `_by_sections` picks one from N
+    and the mesh's triangle count."""
+    return _grids(scene_mesh, frames, params, _by_sections(params, scene_mesh))
+
+
+def _by_sections(params: CgrGridParams, scene_mesh: TriangleMesh) -> bool:
+    """Whether cgr_grids casts by sections: with N >= 32 rays per section on
+    at most N^3 / 8 triangles. A section walk replaces N ray walks but then
+    filters the triangles that cross its plane, which grow with the mesh,
+    so the section query pays for many rays on small meshes. The bound is
+    fitted to the crossover that tools/scale_probe.py measured (BLAS on one
+    thread, 2-vCPU VM), as section over ray query speed on T triangles:
+    N = 32: 3.5x at T = 96, 2.5x at 1,280, 0.77x at 5,120; N = 40: 1.3x at
+    5,120, 0.72x at 20,480; N = 48: 3.8x at 12, 3.2x at 1,280, 1.7x at
+    5,120, 0.80x at 20,480; N = 64: 1.5x at 20,480. Below 32 rays, where
+    the cost per section weighs most, grids keep the ray query, coverage
+    sampling's 12- and 24-ray grids included."""
+    n = params.n_angles
+    return n >= 32 and len(scene_mesh) <= n ** 3 // 8
+
+
+def _grids(scene_mesh: TriangleMesh, frames: np.ndarray, params: CgrGridParams, sections: bool) -> np.ndarray:
+    """cgr_grids by the section query (`sections`) or the ray query. Rays
+    are built and cast for whole frames of about geometry._SECTION_CHUNK or
+    geometry._RAY_CHUNK rays at a time, so memory stays bounded."""
     m, n = params.n_sections, params.n_angles
     dirs_local = np.column_stack([np.cos(params.alphas), np.sin(params.alphas), np.zeros(n)])
     depths = np.asarray(params.section_depths)[None, :, None]
     out = np.empty((len(frames), m, n, 2))
-    step = max(1, geometry._RAY_CHUNK // (m * n))
+    bvh = scene_mesh._ensure_bvh() if sections else None  # None: no tree, or rays
+    step = max(1, (geometry._SECTION_CHUNK if sections else geometry._RAY_CHUNK) // (m * n))
     for s in range(0, len(frames), step):
         chunk = frames[s:s + step]
         k, R = len(chunk), chunk[:, :, :3]
         dirs = np.broadcast_to((dirs_local @ R.transpose(0, 2, 1))[:, None], (k, m, n, 3)).reshape(-1, 3)
         origins = chunk[:, None, :, 3] + depths * R[:, None, :, 2]  # (k, M, 3)
-        origins = np.broadcast_to(origins[:, :, None], (k, m, n, 3)).reshape(-1, 3)
-        t, tri = scene_mesh.ray_intersect_batch(origins, dirs, params.d_max)
+        if bvh is not None:
+            u, v = (np.repeat(R[:, :, a], m, axis=0) for a in (0, 1))
+            t, tri = bvh.intersect_sections(origins.reshape(-1, 3), u, v, dirs.reshape(-1, n, 3), params.d_max)
+        else:
+            origins = np.broadcast_to(origins[:, :, None], (k, m, n, 3)).reshape(-1, 3)
+            t, tri = scene_mesh.ray_intersect_batch(origins, dirs, params.d_max)
         hit = tri >= 0
         theta = np.full(len(t), params.theta_sentinel)
         if hit.any():

@@ -301,6 +301,11 @@ def _check_t_max(t_max):
 # rays per BVH walk: bounds the (ray, node) and (ray, triangle) pair arrays,
 # about 17 MB for 2,048 camera rays through a 20,480-triangle sphere
 _RAY_CHUNK = 2048
+# rays per section query, whole sections: bounds its (section, node),
+# (section, triangle) and (ray, triangle) pair arrays, about 4 MB for 68
+# frames of the default 48x5 grid on a cube and 35 MB on a 20,480-triangle
+# sphere
+_SECTION_CHUNK = 1 << 14
 
 
 def _cross(a, b):
@@ -334,25 +339,30 @@ def _moller_trumbore(origins, directions, v0, e1, e2, t_max):
 
 
 class _Bvh:
-    """Median-split AABB tree in flat arrays, the one ray-casting engine.
+    """Median-split AABB tree in flat arrays, the one ray-casting engine,
+    with two queries: one walk per ray (`intersect`) and one walk per
+    section plane of rays that share a pole (`intersect_sections`).
 
     Nodes are numbered breadth first: node i has the box box[i] = [lo, hi],
     also held as per-axis columns lo[axis][i] and hi[axis][i], and the two
     children first[i] and first[i] + 1, or first[i] = -1 and up to
     _LEAF_SIZE sorted triangle ids in leaf_tris[i], padded with -1.
     `intersect` walks a whole ray batch down the tree level by level, with
-    slab tests of elementwise ufuncs over the columns, then runs
-    `_moller_trumbore`, also the kernel of the brute-force oracle
-    `TriangleMesh.ray_intersect_brute`, over the (ray, leaf triangle) pairs.
-    Padded boxes keep slab-test rounding from pruning a hit and ties go to
-    the lowest triangle index, so results are bit-identical to the oracle."""
+    slab tests of elementwise ufuncs over the columns; `intersect_sections`
+    walks whole batches of sections, with plane and ball tests in place of
+    the slab test. Both run `_moller_trumbore`, also the kernel of the
+    brute-force oracle `TriangleMesh.ray_intersect_brute`, over the (ray,
+    leaf triangle) pairs they keep. Padded boxes and slacks keep rounding
+    from pruning a hit and ties go to the lowest triangle index, so results
+    are bit-identical to the oracle."""
 
     _LEAF_SIZE = 8
 
     def __init__(self, mesh: TriangleMesh):
         self._v0, self._e1, self._e2 = mesh._v0, mesh._e1, mesh._e2
         corners = mesh.vertices[mesh.triangles]  # (T, 3, 3)
-        pad = 1e-9 * (1.0 + np.abs(corners).max())
+        self._extent = np.abs(corners).max()
+        pad = 1e-9 * (1.0 + self._extent)
         tri_lo, tri_hi = corners.min(axis=1) - pad, corners.max(axis=1) + pad
         centroid = corners.mean(axis=1)
         # one tree level per pass: `perm` lists the triangles of the level's
@@ -419,19 +429,142 @@ class _Bvh:
             leaf_nodes.append(node[leaf])
             inner = ~leaf
             ray, node = ray[inner].repeat(2), (kids[inner, None] + [0, 1]).reshape(-1)
+        ray, tri = self._leaf_pairs(leaf_rays, leaf_nodes)
+        t = _moller_trumbore(origins[ray], directions[ray], self._v0[tri], self._e1[tri], self._e2[tri], t_max)
+        return _nearest(len(origins), ray, tri, t)
+
+    def intersect_sections(self, poles, u, v, directions, t_max):
+        """Nearest hit of each ray of S sections, as `intersect` gives it for
+        the same rays: (t, tri) of shape (S * N,), section-major. Section s
+        casts N rays from poles[s] (S, 3) along directions[s] (S, N, 3); ray
+        i lies in the plane of u[s] and v[s] (S, 3) at angle 2 pi i / N from
+        u[s] towards v[s].
+
+        One walk per section keeps the leaf triangles whose boxes straddle
+        the section plane and lie within t_max of the pole, and of those the
+        triangles whose corners straddle it, all within `slack` = 1e-9 (1 +
+        the largest |coordinate| of the mesh or pole), as the tree pads its
+        boxes. Each kept triangle's part within `slack` of the plane,
+        projected onto it, is seen from the pole within an arc; only the
+        rays in that arc, widened by the angle that `slack` subtends at the
+        part's least distance from the pole, are cast against the triangle.
+        A part that surrounds the pole or comes within twice `slack` of it
+        takes all N rays. Every test is written so that NaN keeps a pair."""
+        n = directions.shape[1]
+        w = np.cross(u, v)
+        ww = np.einsum("ij,ij->i", w, w)
+        normal = w / np.sqrt(ww)[:, None]
+        slack = 1e-9 * (1.0 + np.maximum(self._extent, np.abs(poles).max(axis=1)))
+        d_len = np.sqrt(np.einsum("sni,sni->sn", directions, directions).max(axis=1))
+        reach = t_max * d_len * (1.0 + 1e-9) + slack
+        pole_c, normal_c = np.ascontiguousarray(poles.T), np.ascontiguousarray(normal.T)
+        sec = np.arange(len(poles))
+        node = np.zeros(len(poles), dtype=np.int64)
+        leaf_secs, leaf_nodes = [], []
+        while len(sec):
+            # twice the box centre's plane offset and twice its half-extent
+            # along the normal; the squared distance from the pole to the box
+            off, rad, gap = 0.0, 0.0, 0.0
+            for a in range(3):
+                lo, hi, o, nm = self.lo[a][node], self.hi[a][node], pole_c[a][sec], normal_c[a][sec]
+                off = off + ((lo - o) + (hi - o)) * nm
+                rad = rad + (hi - lo) * np.abs(nm)
+                g = np.maximum(np.maximum(lo - o, o - hi), 0.0)
+                gap = gap + g * g
+            r = reach[sec]
+            out = (np.abs(off) > rad + 2.0 * slack[sec]) | (gap > r * r)
+            sec, node = sec[~out], node[~out]
+            kids = self.first[node]
+            leaf = kids < 0
+            leaf_secs.append(sec[leaf])
+            leaf_nodes.append(node[leaf])
+            inner = ~leaf
+            sec, node = sec[inner].repeat(2), (kids[inner, None] + [0, 1]).reshape(-1)
+        sec, tri = self._leaf_pairs(leaf_secs, leaf_nodes)
+        # a point q - pole = a u + b v + c w has a = q . du and b = q . dv
+        du, dv = np.cross(v, w) / ww[:, None], np.cross(w, u) / ww[:, None]
+        sec, tri, first, count = self._arcs(sec, tri, pole_c, normal_c, du, dv, slack, n)
+        # the (ray, triangle) pairs: rays first .. first + count - 1 modulo N
+        cand = np.repeat(np.arange(len(tri)), count)
+        i = first[cand] + np.arange(len(cand)) - np.repeat(np.cumsum(count) - count, count)
+        i -= n * (i >= n)
+        sec, tri = sec[cand], tri[cand]
+        t = _moller_trumbore(poles[sec], directions[sec, i], self._v0[tri], self._e1[tri], self._e2[tri], t_max)
+        return _nearest(len(poles) * n, sec * n + i, tri, t)
+
+    def _arcs(self, sec, tri, pole_c, normal_c, du, dv, slack, n):
+        """The (section, triangle) pairs of `intersect_sections` whose
+        triangle straddles the section plane, with the first ray and the
+        ray count of each one's arc, all N rays where that arc is not known.
+        Plane offsets of the corners come first, in-plane coordinates only
+        for the triangles that straddle the plane; corners k = 1, 2 are
+        taken as v0 + e_k, within rounding of `slack`."""
+        # corner 0 and the two edges from it, relative to the pole, (3, P)
+        q, e1, e2 = (self._v0[tri] - pole_c[:, sec].T).T, self._e1[tri].T, self._e2[tri].T
+
+        def corners(axis):  # (3 corners, P) coordinates along `axis` (3, P)
+            c0 = _dot(q, axis)
+            return np.stack([c0, c0 + _dot(e1, axis), c0 + _dot(e2, axis)])
+
+        s = corners(normal_c[:, sec])
+        sl = slack[sec]
+        out = (np.minimum(np.minimum(s[0], s[1]), s[2]) > sl) | (np.maximum(np.maximum(s[0], s[1]), s[2]) < -sl)
+        sec, tri, s, sl = sec[~out], tri[~out], s[:, ~out], sl[~out]
+        q, e1, e2 = q[:, ~out], e1[:, ~out], e2[:, ~out]
+        a, b = corners(du.T[:, sec]), corners(dv.T[:, sec])
+        # edge k runs from corner k to corner k + 1; [lo, hi] is its part
+        # within the slab |s| <= slack, empty when lo > hi. The endpoints of
+        # these parts span the triangle's part within the slab.
+        nxt = [1, 2, 0]
+        ds = s[nxt] - s
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1, t2 = (-sl - s) / ds, (sl - s) / ds
+        flat = ds == 0.0
+        lo = np.where(flat, 0.0, np.maximum(np.minimum(t1, t2), 0.0))
+        hi = np.where(flat, np.where(np.abs(s) <= sl, 1.0, -1.0), np.minimum(np.maximum(t1, t2), 1.0))
+        tau = np.concatenate([lo, hi])  # (6, P)
+        ga = np.concatenate([a, a]) + tau * np.concatenate([a[nxt] - a] * 2)
+        gb = np.concatenate([b, b]) + tau * np.concatenate([b[nxt] - b] * 2)
+        valid = np.concatenate([lo <= hi] * 2)
+        theta = np.arctan2(gb, ga)
+        # each endpoint's angle relative to the first valid one, in [-pi, pi)
+        ref = theta[valid.argmax(axis=0), np.arange(len(tri))]
+        rel = theta - ref
+        rel = np.where(rel < -np.pi, rel + 2.0 * np.pi, np.where(rel >= np.pi, rel - 2.0 * np.pi, rel))
+        rel_lo, rel_hi = np.where(valid, rel, np.inf).min(axis=0), np.where(valid, rel, -np.inf).max(axis=0)
+        # within an arc of span < pi, the part keeps at least `least` =
+        # rho cos(span / 2) from the pole; a point `slack` off it lies within
+        # asin(slack / least) < `widen` of the arc. A part with no valid
+        # endpoint has span -inf and a NaN `least`.
+        rho = np.sqrt(np.where(valid, ga * ga + gb * gb, np.inf).min(axis=0))
+        step = 2.0 * np.pi / n
+        with np.errstate(divide="ignore", invalid="ignore"):
+            least = rho * np.cos((rel_hi - rel_lo) / 2.0)
+            widen = 2.0 * sl / least
+            first = np.ceil((ref + rel_lo - widen) / step)
+            count = np.floor((ref + rel_hi + widen) / step) + 1.0 - first
+        wide = ~((least > 2.0 * sl) & (count < n))
+        first = (np.where(wide, 0.0, first) % n).astype(np.int64)
+        return sec, tri, first, np.where(wide, n, count).astype(np.int64)
+
+    def _leaf_pairs(self, leaf_rows, leaf_nodes):
+        """The (row, triangle) pairs of the (row, leaf) pairs of a walk."""
         tris = self.leaf_tris[np.concatenate(leaf_nodes)]
         pair, slot = np.nonzero(tris >= 0)
-        ray, tri = np.concatenate(leaf_rays)[pair], tris[pair, slot]
-        t = _moller_trumbore(origins[ray], directions[ray], self._v0[tri], self._e1[tri], self._e2[tri], t_max)
-        # the first hit pair of each ray by (t, triangle): nearest, ties to
-        # the lowest triangle index
-        hit = np.flatnonzero(t < np.inf)
-        hit = hit[np.lexsort((tri[hit], t[hit], ray[hit]))]
-        hit = hit[np.diff(ray[hit], prepend=-1) != 0]
-        t_out = np.full(len(origins), np.inf)
-        tri_out = np.full(len(origins), -1, dtype=np.int64)
-        t_out[ray[hit]], tri_out[ray[hit]] = t[hit], tri[hit]
-        return t_out, tri_out
+        return np.concatenate(leaf_rows)[pair], tris[pair, slot]
+
+
+def _nearest(n_rays, ray, tri, t):
+    """(t, tri) of each of n_rays rays from the kernel's distances t of its
+    (ray, triangle) pairs: the nearest hit, ties to the lowest triangle
+    index; np.inf and -1 on a miss."""
+    hit = np.flatnonzero(t < np.inf)
+    hit = hit[np.lexsort((tri[hit], t[hit], ray[hit]))]
+    hit = hit[np.diff(ray[hit], prepend=-1) != 0]
+    t_out = np.full(n_rays, np.inf)
+    tri_out = np.full(n_rays, -1, dtype=np.int64)
+    t_out[ray[hit]], tri_out[ray[hit]] = t[hit], tri[hit]
+    return t_out, tri_out
 
 
 def merge_meshes(meshes: list[TriangleMesh]) -> TriangleMesh:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from cgrkit import annotation, bundled_hand_path
@@ -198,6 +199,35 @@ def assert_same_grid(got, want):
     assert got.offset.tobytes() == want.offset.tobytes()
     assert got.mask.shape == want.mask.shape
     assert got.mask.tobytes() == want.mask.tobytes()
+
+
+@st.composite
+def triangle_soups(draw):
+    """(vertices (3n, 3), voxel size): triangles with corners on the quarter
+    lattice of the cells (so faces fall on cell planes and centers) or
+    anywhere, made axis-aligned, shrunk below a cell, collapsed to zero area
+    or duplicated."""
+    size = draw(st.sampled_from([0.25, 0.1, 1.0 / 64]))
+    coord = st.one_of(st.integers(-24, 24).map(lambda i: i * size / 4),
+                      st.floats(-6 * size, 6 * size, allow_nan=False))
+    tris = []
+    for _ in range(draw(st.integers(1, 8))):
+        v = np.array(draw(st.lists(st.tuples(coord, coord, coord), min_size=3, max_size=3)))
+        kind = draw(st.sampled_from(["free", "flat", "tiny", "point", "edge", "collinear", "copy"]))
+        if kind == "flat":
+            v[:, draw(st.integers(0, 2))] = v[0, draw(st.integers(0, 2))]
+        elif kind == "tiny":
+            v = v[0] + (v - v[0]) * draw(st.sampled_from([1e-3, 0.1, 0.3]))
+        elif kind == "point":
+            v[:] = v[0]
+        elif kind == "edge":
+            v[2] = v[1]
+        elif kind == "collinear":
+            v[2] = 2.0 * v[1] - v[0]
+        elif kind == "copy" and tris:
+            v = tris[draw(st.integers(0, len(tris) - 1))][draw(st.permutations(range(3)))]
+        tris.append(v)
+    return np.concatenate(tris), size
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cgrkit import cgr, geometry
 from cgrkit.cgr import (
     Cgr,
     CgrError,
@@ -14,11 +19,10 @@ from cgrkit.cgr import (
     query_grasp_pose,
     record_dtype,
 )
-from cgrkit import geometry
 from cgrkit.annotation import AnnotationParams, candidate_frames
-from cgrkit.geometry import RigidTransform, frame_array, rotation_z
+from cgrkit.geometry import RigidTransform, TriangleMesh, frame_array, frame_from_z, rotation_z
 
-from conftest import reference_grasp_pose, random_transform
+from conftest import reference_grasp_pose, random_transform, triangle_soups
 
 
 # ---------------------------------------------------------------------------
@@ -180,29 +184,140 @@ def _brute_grids(mesh, frames, p):
     return out
 
 
-@pytest.mark.parametrize("shape", ["box", "cylinder"])
-def test_cgr_grids_match_brute_force_rays(shape):
-    """cgr_grids on the candidate frames of a box and a 24-segment cylinder,
-    plus frames whose z-axis is a coordinate axis, equals a grid cast ray by
-    ray through the brute-force oracle, bit for bit. The axis frames put
-    exactly-zero direction components into the batches, so the walk's
-    parallel-axis branch runs inside cgr_grids."""
+@functools.cache
+def _brute_case(shape):
+    """(mesh, frames, brute-force grids) of a box or a 24-segment cylinder:
+    its candidate frames plus frames whose z-axis is a coordinate axis."""
     mesh = geometry.make_box((0.05, 0.04, 0.03)) if shape == "box" else geometry.make_cylinder(0.02, 0.05, 24)
     frames = candidate_frames(mesh, AnnotationParams(surface_resolution=0.02, approach_directions=4))
     axes = np.vstack([np.eye(3), -np.eye(3)])
     frames = np.concatenate([frames, geometry.point_direction_frames(frames[::37, :, 3], axes)])
+    return mesh, frames, _brute_grids(mesh, frames, CgrGridParams())
+
+
+@pytest.mark.parametrize("shape", ["box", "cylinder"])
+@pytest.mark.parametrize("sections", [False, True], ids=["rays", "sections"])
+def test_cgr_grids_match_brute_force_rays(sections, shape):
+    """Either query of cgr_grids on the candidate frames of a box and a
+    24-segment cylinder, plus frames whose z-axis is a coordinate axis,
+    equals a grid cast ray by ray through the brute-force oracle, bit for
+    bit. The axis frames put exactly-zero direction components into the
+    batches, so the walk's parallel-axis branch runs, and section planes on
+    the box's faces."""
+    mesh, frames, want = _brute_case(shape)
     p = CgrGridParams()
     dirs_local = np.column_stack([np.cos(p.alphas), np.sin(p.alphas), np.zeros(p.n_angles)])
     assert (dirs_local @ frames[-1, :, :3].T == 0.0).any()
-    grids = cgr_grids(mesh, frames, p)
-    assert np.array_equal(grids, _brute_grids(mesh, frames, p))
+    grids = cgr._grids(mesh, frames, p, sections)
+    assert np.array_equal(grids, want)
     hit = grids[..., 0] < p.d_max
     assert hit.any() and not hit.all()
 
 
+@st.composite
+def _section_cases(draw):
+    """(mesh, frames (K, 3, 4), params): a box, cylinder or icosphere, posed
+    or not, a triangle soup with coplanar, zero-area and duplicated
+    triangles, or an empty mesh; frames whose first pole (depth 0) lies on
+    a vertex, on an edge, inside a face or anywhere, with z along a
+    coordinate axis (axis-aligned u and v), along a face normal (the section
+    plane holds the face), in a coordinate plane or anywhere, or with ray 0
+    pointing exactly at a triangle corner; N rays of 4, 12 or 48 and a reach
+    of 1e-3, 0.05, inf or the first pole's distance to the mesh's box."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["box", "cylinder", "sphere", "soup", "empty"]))
+    if shape == "soup":
+        vertices, _ = draw(triangle_soups())
+        mesh = TriangleMesh(vertices, np.arange(len(vertices)).reshape(-1, 3))
+    elif shape == "empty":
+        mesh = TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+    else:
+        mesh = {"box": lambda: geometry.make_box(rng.uniform(0.01, 0.1, 3)),
+                "cylinder": lambda: geometry.make_cylinder(0.02, 0.05, 8),
+                "sphere": lambda: geometry.make_icosphere(0.03, 1)}[shape]()
+        if draw(st.booleans()):
+            mesh = mesh.transformed(random_transform(rng, 0.05))
+    corners = mesh.vertices[mesh.triangles] if len(mesh) else np.zeros((1, 3, 3))
+    normals = mesh.normals if len(mesh) else np.eye(3)
+    frames = []
+    for _ in range(draw(st.integers(1, 4))):
+        k, j = rng.integers(len(corners)), rng.integers(3)
+        tri = corners[k]
+        at = draw(st.sampled_from(["vertex", "edge", "face", "free"]))
+        if at == "vertex":
+            pole = tri[j]
+        elif at == "edge":
+            pole = tri[j] + draw(st.sampled_from([0.5, rng.uniform()])) * (tri[(j + 1) % 3] - tri[j])
+        elif at == "face":
+            w = rng.dirichlet(np.ones(3))
+            pole = w @ tri
+        else:
+            pole = rng.uniform(corners.min(axis=(0, 1)) - 0.02, corners.max(axis=(0, 1)) + 0.02)
+        aim = draw(st.sampled_from(["axis", "normal", "corner", "plane", "free"]))
+        target = corners[rng.integers(len(corners)), rng.integers(3)] - pole
+        if aim == "corner" and np.linalg.norm(target) > 1e-6:
+            # ray 0 points exactly at a corner: its direction is u
+            u = target / np.linalg.norm(target)
+            z = np.cross(u, rng.standard_normal(3))
+            z /= np.linalg.norm(z)
+            R = np.column_stack([u, np.cross(z, u), z])
+        else:
+            if aim == "axis":
+                z = np.eye(3)[rng.integers(3)] * rng.choice([-1.0, 1.0])
+            elif aim == "normal" and np.linalg.norm(normals[k]) > 0.5:
+                z = normals[k] * rng.choice([-1.0, 1.0])
+            else:
+                z = rng.standard_normal(3)
+                if aim == "plane":
+                    z[rng.integers(3)] = 0.0
+            R = frame_from_z(z)
+            if aim not in ("axis", "normal"):
+                R = R @ rotation_z(rng.uniform(0, 2 * np.pi))
+        frames.append(frame_array(R, pole))
+    depths = draw(st.sampled_from([(0.0,), (0.0, 0.004), (0.0, 0.005, 0.02)]))
+    # "box": the first pole's distance to the mesh's box, which a ray along
+    # an axis from outside a box mesh hits at exactly that distance
+    d_max = draw(st.sampled_from([1e-3, 0.05, np.inf, "box"]))
+    if d_max == "box":
+        lo, hi = mesh.bounds()
+        d_max = float(np.linalg.norm(np.maximum(np.maximum(lo - frames[0][:, 3], frames[0][:, 3] - hi), 0.0))) or 0.05
+    params = CgrGridParams(n_angles=draw(st.sampled_from([4, 12, 48])), n_sections=len(depths),
+                           section_depths=depths, d_max=d_max)
+    return mesh, np.array(frames), params
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_section_cases())
+def test_section_query_matches_brute_force_on_generated_frames(case):
+    """The section query and the ray query give the brute-force grids bit
+    for bit on generated meshes and frames; so does compute_cgr on a single
+    frame, by whichever query cgr_grids selects."""
+    mesh, frames, p = case
+    want = _brute_grids(mesh, frames, p)
+    assert np.array_equal(cgr._grids(mesh, frames, p, True), want)
+    assert np.array_equal(cgr._grids(mesh, frames, p, False), want)
+    if len(frames) == 1:
+        frame = RigidTransform(frames[0, :, :3], frames[0, :, 3])
+        assert np.array_equal(compute_cgr(mesh, frame, p).grid, want[0])
+
+
+def test_cgr_grids_selects_sections_for_many_rays_on_small_meshes(cube):
+    """Sections for the default 48-ray grid on the benchmark's loop meshes;
+    rays for 16-ray grids on 256 and 1,280 triangles and for the 12- and
+    24-ray grids of coverage sampling."""
+    default = CgrGridParams()
+    assert cgr._by_sections(default, cube)
+    assert cgr._by_sections(default, geometry.make_cylinder(0.018, 0.055, 24))
+    scan = CgrGridParams(n_angles=16, n_sections=3, section_depths=(0.005, 0.015, 0.03))
+    for mesh in (geometry.make_cylinder(0.02, 0.06, 64), geometry.make_icosphere(0.03, 3)):
+        assert not cgr._by_sections(scan, mesh)
+    for n in (12, 24):
+        assert not cgr._by_sections(CgrGridParams(n_angles=n, n_sections=1, section_depths=(0.04,)), cube)
+
+
 def test_cgr_grids_chunked_equals_default(cube, monkeypatch):
     """Frames are cast a chunk at a time; a chunk of three frames gives the
-    same grids, bit for bit."""
+    same grids, bit for bit, by either query."""
     rng = np.random.default_rng(12)
     p = CgrGridParams()
     frames = np.array([frame_array(tf.rotation, tf.translation)
@@ -211,7 +326,9 @@ def test_cgr_grids_chunked_equals_default(cube, monkeypatch):
     assert whole.shape == (20, p.n_sections, p.n_angles, 2)
     assert (whole[..., 0] < p.d_max).any() and (whole[..., 0] == p.d_max).any()
     monkeypatch.setattr(geometry, "_RAY_CHUNK", 3 * p.n_sections * p.n_angles)
-    assert np.array_equal(cgr_grids(cube, frames, p), whole)
+    monkeypatch.setattr(geometry, "_SECTION_CHUNK", 3 * p.n_sections * p.n_angles)
+    for sections in (False, True):
+        assert np.array_equal(cgr._grids(cube, frames, p, sections), whole)
     assert cgr_grids(cube, frames[:0], p).shape == (0, p.n_sections, p.n_angles, 2)
 
 

@@ -32,7 +32,7 @@ from cgrkit.geometry import (
     voxelize_mesh,
 )
 
-from conftest import assert_same_grid, random_rotation, random_transform, reference_voxelize
+from conftest import assert_same_grid, random_rotation, random_transform, reference_voxelize, triangle_soups
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +343,7 @@ def _ray_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = draw(st.sampled_from(["box", "sphere", "cylinder", "soup"]))
     if shape == "soup":
-        vertices, _ = draw(_triangle_soups())
+        vertices, _ = draw(triangle_soups())
         mesh = TriangleMesh(vertices, np.arange(len(vertices)).reshape(-1, 3))
     else:
         mesh = {"box": lambda: make_box(rng.uniform(0.01, 0.1, 3)),
@@ -568,37 +568,8 @@ def test_voxelize_matches_reference(request, name, size):
     assert_same_grid(voxelize_mesh(mesh, size), reference_voxelize(mesh, size))
 
 
-@st.composite
-def _triangle_soups(draw):
-    """(vertices (3n, 3), voxel size): triangles with corners on the quarter
-    lattice of the cells (so faces fall on cell planes and centers) or
-    anywhere, made axis-aligned, shrunk below a cell, collapsed to zero area
-    or duplicated."""
-    size = draw(st.sampled_from([0.25, 0.1, 1.0 / 64]))
-    coord = st.one_of(st.integers(-24, 24).map(lambda i: i * size / 4),
-                      st.floats(-6 * size, 6 * size, allow_nan=False))
-    tris = []
-    for _ in range(draw(st.integers(1, 8))):
-        v = np.array(draw(st.lists(st.tuples(coord, coord, coord), min_size=3, max_size=3)))
-        kind = draw(st.sampled_from(["free", "flat", "tiny", "point", "edge", "collinear", "copy"]))
-        if kind == "flat":
-            v[:, draw(st.integers(0, 2))] = v[0, draw(st.integers(0, 2))]
-        elif kind == "tiny":
-            v = v[0] + (v - v[0]) * draw(st.sampled_from([1e-3, 0.1, 0.3]))
-        elif kind == "point":
-            v[:] = v[0]
-        elif kind == "edge":
-            v[2] = v[1]
-        elif kind == "collinear":
-            v[2] = 2.0 * v[1] - v[0]
-        elif kind == "copy" and tris:
-            v = tris[draw(st.integers(0, len(tris) - 1))][draw(st.permutations(range(3)))]
-        tris.append(v)
-    return np.concatenate(tris), size
-
-
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(_triangle_soups())
+@given(triangle_soups())
 def test_voxelize_matches_reference_on_triangle_soups(soup):
     vertices, size = soup
     mesh = TriangleMesh(vertices, np.arange(len(vertices)).reshape(-1, 3))

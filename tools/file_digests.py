@@ -17,15 +17,20 @@ round of `perfbench/run.py --seed N` (round seed N * 1000), and prints:
 - one sha256 over the `(t, tri)` of every `ray_intersect_batch` call and the
   result of every `ray_intersect` call of the round, with the call and ray
   counts. The class methods are rebound, as perfbench's `RaySampler`
-  rebinds `ray_intersect`, so every cast counts: the CGR grids of records
-  that the approach filter invalidates, and the pool-sampling, render and
-  fingertip casts, which no file digest covers.
+  rebinds `ray_intersect`, so every cast counts: the pool-sampling, render
+  and fingertip casts, which no file digest covers, and the CGR grids that
+  `cgr_grids` casts ray by ray;
+- one sha256 over every `cgr_grids` result of the round, with the call and
+  frame counts: the grids of records that the approach filter invalidates
+  and of the coverage pool's frames, whichever query cast them. `cgr_grids`
+  is rebound in `cgr` (for `compute_cgr`), `annotation` and `coverage`,
+  each of which holds its own name for it.
 
 Two checkouts that print the same lines wrote byte-identical files, sampled
 bit-identical pools, judged every coverage probe alike, returned the same
 grasps to the CSV's printed precision, judged every executed grasp alike,
-kept the same records through the approach filter and got the same hit from
-every ray cast.
+kept the same records through the approach filter, computed the same CGR
+grids and got the same hit from every ray cast.
 
 Run from the repo root:  python3 tools/file_digests.py --workload loop --seed 7
 """
@@ -46,19 +51,21 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 import workloads  # noqa: E402
 import numpy as np  # noqa: E402
-from cgrkit import annotation, cli, coverage, geometry, pipeline  # noqa: E402
+from cgrkit import annotation, cgr, cli, coverage, geometry, pipeline  # noqa: E402
 
 
 def _recorded_round(spec, seed: int, workdir: str):
     """run_round with pipeline.detect, detect_baseline and grasp_oracle,
     coverage.is_covered, annotate_scene (in `annotation`, where the
     benchmark calls it, and in `pipeline`, where evaluate calls it) and
-    TriangleMesh.ray_intersect_batch and ray_intersect rebound to recorders;
-    returns the round, the grasp-CSV digest and count, the oracle outcomes,
-    the coverage verdicts, the valid masks and the cast digest, call count
-    and ray count."""
+    TriangleMesh.ray_intersect_batch and ray_intersect, and cgr_grids (in
+    `cgr`, `annotation` and `coverage`) rebound to recorders; returns the
+    round, the grasp-CSV digest and count, the oracle outcomes, the coverage
+    verdicts, the valid masks, the cast digest, call count and ray count,
+    and the grid digest, call count and frame count."""
     grasps, outcomes, verdicts, masks, n_lists = hashlib.sha256(), [], [], [], 0
     casts, n_casts = hashlib.sha256(), [0, 0]
+    grids, n_grids = hashlib.sha256(), [0, 0]
     csv_path = os.path.join(workdir, "grasps.csv")
 
     def recording(fn):
@@ -102,9 +109,17 @@ def _recorded_round(spec, seed: int, workdir: str):
         n_casts[1] += 1
         return hit
 
+    def cgr_grids(*args, **kwargs):
+        out = saved_grids(*args, **kwargs)
+        grids.update(out.tobytes())
+        n_grids[0] += 1
+        n_grids[1] += len(out)
+        return out
+
     saved = {name: getattr(pipeline, name) for name in ("detect", "detect_baseline", "grasp_oracle")}
     saved_is_covered, saved_annotate = coverage.is_covered, annotation.annotate_scene
     saved_batch, saved_single = geometry.TriangleMesh.ray_intersect_batch, geometry.TriangleMesh.ray_intersect
+    saved_grids = cgr.cgr_grids
     pipeline.detect = recording(saved["detect"])
     pipeline.detect_baseline = recording(saved["detect_baseline"])
     pipeline.grasp_oracle = oracle
@@ -112,6 +127,7 @@ def _recorded_round(spec, seed: int, workdir: str):
     annotation.annotate_scene = pipeline.annotate_scene = annotate_scene
     geometry.TriangleMesh.ray_intersect_batch = ray_intersect_batch
     geometry.TriangleMesh.ray_intersect = ray_intersect
+    cgr.cgr_grids = annotation.cgr_grids = coverage.cgr_grids = cgr_grids
     try:
         rnd = workloads.run_round(spec, workloads.make_fixtures(spec), seed=seed, workdir=workdir)
     finally:
@@ -121,7 +137,9 @@ def _recorded_round(spec, seed: int, workdir: str):
         annotation.annotate_scene = pipeline.annotate_scene = saved_annotate
         geometry.TriangleMesh.ray_intersect_batch = saved_batch
         geometry.TriangleMesh.ray_intersect = saved_single
-    return rnd, grasps.hexdigest(), n_lists, outcomes, verdicts, masks, (casts.hexdigest(), *n_casts)
+        cgr.cgr_grids = annotation.cgr_grids = coverage.cgr_grids = saved_grids
+    return (rnd, grasps.hexdigest(), n_lists, outcomes, verdicts, masks, (casts.hexdigest(), *n_casts),
+            (grids.hexdigest(), *n_grids))
 
 
 def main(argv=None) -> int:
@@ -131,7 +149,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     spec = workloads.SPECS[args.workload]
     with tempfile.TemporaryDirectory() as workdir:
-        rnd, grasps, n_lists, outcomes, verdicts, masks, casts = _recorded_round(spec, args.seed * 1000, workdir)
+        rnd, grasps, n_lists, outcomes, verdicts, masks, casts, grid_digest = _recorded_round(
+            spec, args.seed * 1000, workdir)
         for name, path in sorted(rnd.check_inputs["paths"].items()):
             with open(path, "rb") as f:
                 print(f"{name} {hashlib.sha256(f.read()).hexdigest()}")
@@ -152,6 +171,7 @@ def main(argv=None) -> int:
     n_valid, n_records = sum(int(m.sum()) for m in masks), sum(len(m) for m in masks)
     print(f"valid {valid.hexdigest()} ({len(masks)} calls, {n_valid} valid of {n_records})")
     print(f"casts {casts[0]} ({casts[1]} calls, {casts[2]} rays)")
+    print(f"grids {grid_digest[0]} ({grid_digest[1]} calls, {grid_digest[2]} frames)")
     return 0
 
 
