@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from cgrkit import contacts
@@ -187,6 +189,80 @@ def test_force_closure_feasibility_matches_linprog_oracle():
         agree_feas += want
         agree_infeas += not want
     assert agree_feas > 10 and agree_infeas > 10
+
+
+@st.composite
+def _degenerate_grasps(draw):
+    """(contacts, params) of 2-4 contacts: positions coincident, coplanar
+    (z = 0) or free, at a scale of 1e-6 to 1e3 m; normals parallel (all
+    along one axis, signs drawn), along coordinate axes or free; friction
+    from 1e-9 up to 1.5 and 3-8 cone edges."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(2, 4))
+    scale = draw(st.sampled_from([1e-6, 1e-3, 0.05, 1.0, 1e3]))
+    positions = scale * rng.uniform(-1.0, 1.0, (m, 3))
+    layout = draw(st.sampled_from(["coincident", "coplanar", "free"]))
+    if layout == "coincident":
+        positions[:] = positions[0]
+    elif layout == "coplanar":
+        positions[:, 2] = 0.0
+    kind = draw(st.sampled_from(["parallel", "axes", "free"]))
+    if kind == "parallel":
+        normals = rng.choice([-1.0, 1.0], (m, 1)) * rng.standard_normal(3)
+    elif kind == "axes":
+        normals = np.eye(3)[rng.integers(0, 3, m)] * rng.choice([-1.0, 1.0], (m, 1))
+    else:
+        normals = rng.standard_normal((m, 3))
+    friction = draw(st.sampled_from([1e-9, 1e-6, 1e-3, 0.1, 0.5, 1.5]))
+    params = ForceClosureParams(friction=friction, cone_edges=draw(st.integers(3, 8)))
+    return [Contact(p, n) for p, n in zip(positions, normals)], params
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_degenerate_grasps())
+def test_force_closure_agrees_with_linprog_on_degenerate_grasps(case):
+    """On coincident and coplanar contacts, parallel normals, friction near 0
+    and positions from 1e-6 to 1e3 m, the phase-1 simplex and the HiGHS
+    oracle judge feasibility alike, or the simplex raises ContactError."""
+    grasp, params = case
+    try:
+        got = force_closure(grasp, params).feasible
+    except ContactError:
+        return
+    assert got == _oracle_feasible(grasp, params)
+
+
+@st.composite
+def _degenerate_systems(draw):
+    """(A, b) with 1-6 rows and 1-10 columns of small integers, so that
+    ratio ties, zero rows and repeated columns are common, scaled by one
+    power of ten; b is a nonnegative combination of the columns, zero or
+    free."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 10))
+    A = rng.integers(-2, 3, (m, n)).astype(float)
+    if draw(st.booleans()):
+        A[:, rng.integers(0, n, n)] = A[:, rng.integers(0, n, n)]  # repeated columns
+    A *= draw(st.sampled_from([1e-6, 1.0, 1e3]))
+    kind = draw(st.sampled_from(["feasible", "zero", "free"]))
+    if kind == "feasible":
+        b = A @ rng.integers(0, 3, n).astype(float)
+    elif kind == "zero":
+        b = np.zeros(m)
+    else:
+        b = rng.integers(-3, 4, m).astype(float)
+    return A, b
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_degenerate_systems())
+def test_phase1_simplex_agrees_with_linprog_on_degenerate_systems(case):
+    A, b = case
+    try:
+        got = _phase1_simplex(A, b)
+    except ContactError:
+        return
+    assert got == _linprog_feasible(A, b)
 
 
 def test_friction_monotonicity():

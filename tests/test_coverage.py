@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgrkit import coverage
 from cgrkit.coverage import (
@@ -246,6 +250,54 @@ def test_block_size_does_not_change_results(cascade_case, monkeypatch):
     monkeypatch.setattr(coverage, "_PAIR_BLOCK", 1)  # one pool patch per block
     got = [(min_chamfer(q, pool), min_chamfer(q, pool, 0.001), is_covered(q, pool, 0.01)) for q in probes]
     assert got == want
+
+
+@st.composite
+def _generated_pools(draw):
+    """(probe, pool) of 1-8 patches of 1 to 48 points within a few cm:
+    one-point patches, patches of repeated points and copies of an earlier
+    patch, shifted or not; the probe is a copy of a pool patch (jittered or
+    not), a patch of repeated points or a free patch."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = []
+    for _ in range(draw(st.integers(1, 8))):
+        size = draw(st.sampled_from([1, 2, 5, 17, 48]))
+        kind = draw(st.sampled_from(["free", "repeated", "copy"]))
+        if kind == "copy" and pool:
+            shift = draw(st.sampled_from([0.0, 1e-4, 0.01]))
+            points = pool[int(rng.integers(len(pool)))].points + shift
+        elif kind == "repeated":
+            points = np.repeat(rng.uniform(-0.02, 0.02, (max(1, size // 4), 3)), 4, axis=0)
+        else:
+            points = rng.uniform(-0.02, 0.02, (size, 3))
+        pool.append(LocalGeometry(points, "gen", None))
+    kind = draw(st.sampled_from(["copy", "jitter", "repeated", "free"]))
+    source = pool[int(rng.integers(len(pool)))].points
+    if kind == "copy":
+        points = source.copy()
+    elif kind == "jitter":
+        points = source + rng.normal(0.0, 1e-4, source.shape)
+    elif kind == "repeated":
+        points = np.repeat(source[:2], 7, axis=0)
+    else:
+        points = rng.uniform(-0.02, 0.02, (draw(st.sampled_from([1, 9, 48])), 3))
+    return LocalGeometry(points, "probe", None), pool
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_generated_pools())
+def test_min_chamfer_matches_reference_on_generated_pools(case):
+    """With one pool patch per block and with the default block, without
+    stop_below bit for bit the per-patch KD-tree loop; with it, the loop's
+    value whenever that is below stop_below, and otherwise no less."""
+    probe, pool = case
+    for block in (1, coverage._PAIR_BLOCK):
+        with mock.patch.object(coverage, "_PAIR_BLOCK", block):
+            assert min_chamfer(probe, pool) == reference_min_chamfer(probe, pool)
+            for stop in (1e-9, 1e-4, 0.001, 0.01):
+                want = reference_min_chamfer(probe, pool, stop_below=stop)
+                got = min_chamfer(probe, pool, stop_below=stop)
+                assert got == want if want < stop else got >= stop
 
 
 # ---------------------------------------------------------------------------
