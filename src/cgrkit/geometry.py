@@ -343,14 +343,15 @@ class _Bvh:
     with two queries: one walk per ray (`intersect`) and one walk per
     section plane of rays that share a pole (`intersect_sections`).
 
-    Nodes are numbered breadth first: node i has the box box[i] = [lo, hi],
-    also held as per-axis columns lo[axis][i] and hi[axis][i], and the two
-    children first[i] and first[i] + 1, or first[i] = -1 and up to
-    _LEAF_SIZE sorted triangle ids in leaf_tris[i], padded with -1.
-    `intersect` walks a whole ray batch down the tree level by level, with
-    slab tests of elementwise ufuncs over the columns; `intersect_sections`
-    walks whole batches of sections, with plane and ball tests in place of
-    the slab test. Both run `_moller_trumbore`, also the kernel of the
+    Nodes are numbered breadth first: node i has the box of corners
+    lo[:, i] and hi[:, i], held as per-axis columns lo[axis] and hi[axis],
+    and the two children first[i] and first[i] + 1, or first[i] = -1 and up
+    to _LEAF_SIZE sorted triangle ids in leaf_tris[i], padded with -1.
+    Both queries walk the tree with one descent, `_descend`, level by level
+    over a whole batch of rows, and differ only in its node test, made of
+    elementwise ufuncs over the columns: a slab test per ray for
+    `intersect`, a plane and ball test per section for `intersect_sections`.
+    Both run `_moller_trumbore`, also the kernel of the
     brute-force oracle `TriangleMesh.ray_intersect_brute`, over the (ray,
     leaf triangle) pairs they keep. Padded boxes and slacks keep rounding
     from pruning a hit and ties go to the lowest triangle index, so results
@@ -369,14 +370,15 @@ class _Bvh:
         # nodes, node by node, and seg[k] is the rank of perm[k]'s node
         perm = np.arange(len(corners))
         seg = np.zeros(len(perm), dtype=np.int64)
-        boxes, first, leaf_tris = [], [], []
+        lows, highs, first, leaf_tris = [], [], [], []
         n_nodes = 0
         while len(perm):
             starts = np.flatnonzero(np.diff(seg, prepend=-1))
             sizes = np.diff(starts, append=len(perm))
             lo = np.minimum.reduceat(tri_lo[perm], starts)
             hi = np.maximum.reduceat(tri_hi[perm], starts)
-            boxes.append(np.stack([lo, hi], axis=1))
+            lows.append(lo)
+            highs.append(hi)
             leaf = sizes <= self._LEAF_SIZE
             inner_rank = np.cumsum(~leaf) - 1
             n_nodes += len(starts)
@@ -394,9 +396,9 @@ class _Bvh:
             # the lower half of an inner node goes to its first child
             child = 2 * inner_rank[seg] + (rank >= (sizes // 2)[seg])
             perm, seg = perm[~in_leaf], child[~in_leaf]
-        self.box, self.first, self.leaf_tris = map(np.concatenate, (boxes, first, leaf_tris))
-        self.lo, self.hi = (np.ascontiguousarray(self.box[:, k].T) for k in (0, 1))  # (3, N) each
-        for a in (self.box, self.first, self.leaf_tris, self.lo, self.hi):
+        self.lo, self.hi = (np.ascontiguousarray(np.concatenate(b).T) for b in (lows, highs))  # (3, N) each
+        self.first, self.leaf_tris = np.concatenate(first), np.concatenate(leaf_tris)
+        for a in (self.first, self.leaf_tris, self.lo, self.hi):
             a.setflags(write=False)
 
     def intersect(self, origins, directions, t_max):
@@ -407,10 +409,8 @@ class _Bvh:
         parallel = np.abs(direction) < np.finfo(float).tiny
         inv_dir = 1.0 / np.where(parallel, 1.0, direction)
         axis_parallel = parallel.any(axis=1)
-        ray = np.arange(len(origins))
-        node = np.zeros(len(origins), dtype=np.int64)
-        leaf_rays, leaf_nodes = [], []
-        while len(ray):
+
+        def slab(ray, node):
             near, far = 0.0, t_max
             for a in range(3):  # min and max are exact and propagate NaN
                 lo, hi, o, inv = self.lo[a][node], self.hi[a][node], origin[a][ray], inv_dir[a][ray]
@@ -421,15 +421,9 @@ class _Bvh:
                     a_near = np.where(par, np.where((lo <= o) & (o <= hi), -np.inf, np.inf), a_near)
                     a_far = np.where(par, np.inf, a_far)
                 near, far = np.maximum(near, a_near), np.minimum(far, a_far)
-            enter = near <= far
-            ray, node = ray[enter], node[enter]
-            kids = self.first[node]
-            leaf = kids < 0
-            leaf_rays.append(ray[leaf])
-            leaf_nodes.append(node[leaf])
-            inner = ~leaf
-            ray, node = ray[inner].repeat(2), (kids[inner, None] + [0, 1]).reshape(-1)
-        ray, tri = self._leaf_pairs(leaf_rays, leaf_nodes)
+            return near <= far
+
+        ray, tri = self._descend(len(origins), slab)
         t = _moller_trumbore(origins[ray], directions[ray], self._v0[tri], self._e1[tri], self._e2[tri], t_max)
         return _nearest(len(origins), ray, tri, t)
 
@@ -458,10 +452,8 @@ class _Bvh:
         d_len = np.sqrt(np.einsum("sni,sni->sn", directions, directions).max(axis=1))
         reach = t_max * d_len * (1.0 + 1e-9) + slack
         pole_c, normal_c = np.ascontiguousarray(poles.T), np.ascontiguousarray(normal.T)
-        sec = np.arange(len(poles))
-        node = np.zeros(len(poles), dtype=np.int64)
-        leaf_secs, leaf_nodes = [], []
-        while len(sec):
+
+        def plane_and_ball(sec, node):
             # twice the box centre's plane offset and twice its half-extent
             # along the normal; the squared distance from the pole to the box
             off, rad, gap = 0.0, 0.0, 0.0
@@ -472,15 +464,9 @@ class _Bvh:
                 g = np.maximum(np.maximum(lo - o, o - hi), 0.0)
                 gap = gap + g * g
             r = reach[sec]
-            out = (np.abs(off) > rad + 2.0 * slack[sec]) | (gap > r * r)
-            sec, node = sec[~out], node[~out]
-            kids = self.first[node]
-            leaf = kids < 0
-            leaf_secs.append(sec[leaf])
-            leaf_nodes.append(node[leaf])
-            inner = ~leaf
-            sec, node = sec[inner].repeat(2), (kids[inner, None] + [0, 1]).reshape(-1)
-        sec, tri = self._leaf_pairs(leaf_secs, leaf_nodes)
+            return ~((np.abs(off) > rad + 2.0 * slack[sec]) | (gap > r * r))
+
+        sec, tri = self._descend(len(poles), plane_and_ball)
         # a point q - pole = a u + b v + c w has a = q . du and b = q . dv
         du, dv = np.cross(v, w) / ww[:, None], np.cross(w, u) / ww[:, None]
         sec, tri, first, count = self._arcs(sec, tri, pole_c, normal_c, du, dv, slack, n)
@@ -547,8 +533,23 @@ class _Bvh:
         first = (np.where(wide, 0.0, first) % n).astype(np.int64)
         return sec, tri, first, np.where(wide, n, count).astype(np.int64)
 
-    def _leaf_pairs(self, leaf_rows, leaf_nodes):
-        """The (row, triangle) pairs of the (row, leaf) pairs of a walk."""
+    def _descend(self, n_rows, keep):
+        """The (row, leaf triangle) pairs of one walk of n_rows rows (rays or
+        sections) down the tree, level by level: of each level's (row, node)
+        pairs it keeps those where the node test keep(row, node) is true,
+        sets the leaves aside and takes the inner nodes' children to the
+        next level."""
+        row, node = np.arange(n_rows), np.zeros(n_rows, dtype=np.int64)
+        leaf_rows, leaf_nodes = [], []
+        while len(row):
+            kept = keep(row, node)
+            row, node = row[kept], node[kept]
+            kids = self.first[node]
+            leaf = kids < 0
+            leaf_rows.append(row[leaf])
+            leaf_nodes.append(node[leaf])
+            inner = ~leaf
+            row, node = row[inner].repeat(2), (kids[inner, None] + [0, 1]).reshape(-1)
         tris = self.leaf_tris[np.concatenate(leaf_nodes)]
         pair, slot = np.nonzero(tris >= 0)
         return np.concatenate(leaf_rows)[pair], tris[pair, slot]

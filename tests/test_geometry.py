@@ -223,7 +223,8 @@ def test_bvh_identical_to_brute_force(sphere, cube):
     # rays from every 37th node-box corner and rays lying in one plane of
     # such a box, at a short and a huge t_max. The sphere's triangle normals
     # are distinct, so equal normals mean the same triangle.
-    corners = sphere._ensure_bvh().box[::37].reshape(-1, 3)
+    bvh = sphere._ensure_bvh()
+    corners = np.stack([bvh.lo.T, bvh.hi.T], axis=1)[::37].reshape(-1, 3)
     in_plane = rng.standard_normal(corners.shape)
     in_plane[np.arange(len(corners)), np.arange(len(corners)) % 3] = 0.0
     random_dirs = rng.standard_normal((500, 3))
@@ -246,28 +247,32 @@ def test_bvh_identical_to_brute_force(sphere, cube):
 
 def test_bvh_columns_and_consecutive_children(cube, sphere):
     """The walk reads per-axis bound columns and steps to consecutive
-    siblings: the columns equal box[:, 0] and box[:, 1], each inner node's
+    siblings: lo and hi are contiguous (3, N) columns, each inner node's
     children first[i] and first[i] + 1 lie inside its box, every node but
     the root is the child of exactly one inner node, the leaves hold every
-    triangle once, and every array is read-only."""
+    triangle once, each leaf's box holds its triangles' corners, and every
+    array is read-only."""
     one = TriangleMesh([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[0, 1, 2]])
     for mesh in (cube, sphere, one):
         bvh = mesh._ensure_bvh()
-        assert np.array_equal(bvh.lo, bvh.box[:, 0].T) and np.array_equal(bvh.hi, bvh.box[:, 1].T)
-        assert bvh.lo.flags.c_contiguous and bvh.hi.flags.c_contiguous
+        for a in (bvh.lo, bvh.hi):
+            assert a.shape == (3, len(bvh.first)) and a.flags.c_contiguous
         inner = np.flatnonzero(bvh.first >= 0)
         for child in (bvh.first[inner], bvh.first[inner] + 1):
             assert np.all(child > inner)
-            assert np.all(bvh.box[child, 0] >= bvh.box[inner, 0])
-            assert np.all(bvh.box[child, 1] <= bvh.box[inner, 1])
+            assert np.all(bvh.lo[:, child] >= bvh.lo[:, inner])
+            assert np.all(bvh.hi[:, child] <= bvh.hi[:, inner])
         children = np.concatenate([bvh.first[inner], bvh.first[inner] + 1])
-        assert np.array_equal(np.sort(children), np.arange(1, len(bvh.box)))
+        assert np.array_equal(np.sort(children), np.arange(1, len(bvh.first)))
         assert np.all(bvh.leaf_tris[inner] == -1)
         held = bvh.leaf_tris[bvh.first < 0]
         assert np.array_equal(np.sort(held[held >= 0]), np.arange(len(mesh)))
-        for a in (bvh.box, bvh.lo, bvh.hi, bvh.first, bvh.leaf_tris):
+        leaf, slot = np.nonzero(bvh.leaf_tris >= 0)
+        corners = mesh.vertices[mesh.triangles[bvh.leaf_tris[leaf, slot]]]  # (pairs, 3, 3)
+        assert np.all(corners >= bvh.lo.T[leaf, None]) and np.all(corners <= bvh.hi.T[leaf, None])
+        for a in (bvh.lo, bvh.hi, bvh.first, bvh.leaf_tris):
             assert not a.flags.writeable
-    assert len(sphere) == 5120 and len(sphere._ensure_bvh().box) > 1000
+    assert len(sphere) == 5120 and len(sphere._ensure_bvh().first) > 1000
 
 
 def test_ray_cast_edge_cases(sphere):
@@ -353,7 +358,8 @@ def _ray_cases(draw):
             mesh = mesh.transformed(random_transform(rng, 0.05))
     corners = mesh.vertices[mesh.triangles]
     lo, hi = mesh.bounds()
-    nodes = mesh._ensure_bvh().box
+    bvh = mesh._ensure_bvh()
+    nodes = np.stack([bvh.lo.T, bvh.hi.T], axis=1)  # (N, 2, 3) corners
     origins, dirs = [], []
     for _ in range(draw(st.integers(1, 12))):
         tri, j = corners[rng.integers(len(corners))], rng.integers(3)
