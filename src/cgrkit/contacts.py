@@ -109,20 +109,15 @@ def _phase1_simplex(A: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
     T[m, -1] = -b.sum()
     for _ in range(_PIVOT_CAP * (n + m)):
         # Bland: entering = lowest-index column with negative reduced cost
-        enter = -1
-        for j in range(n + m):
-            if T[m, j] < -tol:
-                enter = j
-                break
-        if enter < 0:
+        negative = np.flatnonzero(T[m, :-1] < -tol)
+        if not len(negative):
             break
+        enter = negative[0]
         col = T[:m, enter]
         ratios = np.where(col > tol, T[:m, -1] / np.where(col > tol, col, 1.0), np.inf)
         best = np.inf
         leave = -1
-        for r in range(m):
-            if not np.isfinite(ratios[r]):
-                continue
+        for r in np.flatnonzero(np.isfinite(ratios)):
             if ratios[r] < best - 1e-15 or (
                 abs(ratios[r] - best) <= 1e-15 and leave >= 0 and basis[r] < basis[leave]
             ):
@@ -130,11 +125,11 @@ def _phase1_simplex(A: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
                 leave = r
         if leave < 0:  # no finite ratio: unbounded, which phase 1 cannot be
             raise ContactError(f"phase-1 simplex: column {enter} is unbounded")
-        piv = T[leave, enter]
-        T[leave] /= piv
-        for r in range(m + 1):
-            if r != leave and abs(T[r, enter]) > 0:
-                T[r] -= T[r, enter] * T[leave]
+        T[leave] /= T[leave, enter]
+        # every other row at once; a zero factor leaves a finite row as it is
+        factor = T[:, enter].copy()
+        factor[leave] = 0.0
+        T -= np.outer(factor, T[leave])
         basis[leave] = enter
     else:
         raise ContactError(f"phase-1 simplex: no optimum after {_PIVOT_CAP * (n + m)} pivots")
