@@ -102,12 +102,6 @@ def preset_directions(v: int) -> np.ndarray:
     return fibonacci_sphere(MASTER_DIRECTIONS)[::stride]
 
 
-def _grasp_points(mesh: TriangleMesh, params: SamplingParams, seed: int) -> np.ndarray:
-    """Voxel-downsampled surface samples: one mean point per occupied cell."""
-    cloud = sample_surface_points(mesh, params.surface_samples, seed)
-    return bin_points(cloud.points, np.zeros(3), params.grasp_point_resolution)[1]
-
-
 def sample_local_geometries(
     obj: TriangleMesh,
     params: SamplingParams | None = None,
@@ -123,7 +117,8 @@ def sample_local_geometries(
     surface = sample_surface_points(obj, params.surface_samples, seed)
     if len(surface) == 0:
         raise CoverageError("empty object")
-    grasp_points = _grasp_points(obj, params, seed)
+    # grasp points: the surface samples' mean point in each occupied cell
+    grasp_points = bin_points(surface.points, np.zeros(3), params.grasp_point_resolution)[1]
     dirs = preset_directions(params.approach_directions)
     bx, by, bz = params.box_dims
     half = np.array([bx / 2.0, by / 2.0, bz / 2.0])

@@ -10,12 +10,12 @@ from cgrkit.coverage import (
     MASTER_DIRECTIONS,
     MASTER_INPLANE,
     LocalGeometry,
-    _grasp_points,
     preset_directions,
 )
 from cgrkit.geometry import (
     RigidTransform,
     VoxelGrid,
+    bin_points,
     frame_array,
     frame_from_z,
     make_box,
@@ -90,7 +90,8 @@ def reference_patches(obj, params, seed=0, object_id=""):
                          section_depths=(bz / 2.0,), d_max=float(np.linalg.norm(half)))
     angle_stride = grid.n_angles // 2 // params.inplane_angles
     patches = []
-    for point_idx, p in enumerate(_grasp_points(obj, params, seed)):
+    grasp_points = bin_points(surface.points, np.zeros(3), params.grasp_point_resolution)[1]
+    for point_idx, p in enumerate(grasp_points):
         for dir_idx, d in enumerate(dirs):
             cgr = compute_cgr(obj, RigidTransform(frame_from_z(d), p), grid)
             rep = antipodal_rep(cgr)
