@@ -54,13 +54,12 @@ def _read_config(path) -> dict:
     return out
 
 
-def _merged(args, config_keys: dict) -> dict:
+def _merged(args) -> dict:
     """Config-file values overridden by explicitly passed flags."""
     merged = {}
     if getattr(args, "config", None):
         merged.update(_read_config(args.config))
-    for key in config_keys:
-        val = getattr(args, key, None)
+    for key, val in vars(args).items():
         if val is not None:
             merged[key] = val
     return merged
@@ -128,8 +127,7 @@ def _write_grasp_csv(path, candidates):
             )
 
 
-def _cmd_annotate(args) -> int:
-    merged = _merged(args, vars(args))
+def _cmd_annotate(merged: dict) -> int:
     scene_path, out = _require(merged, "scene", "out")
     params = _annotation_params(merged)
     scene = compose_scene(scene_path)
@@ -139,8 +137,7 @@ def _cmd_annotate(args) -> int:
     return 0
 
 
-def _cmd_coverage(args) -> int:
-    merged = _merged(args, vars(args))
+def _cmd_coverage(merged: dict) -> int:
     train_list, test_list, out = _require(merged, "train", "test", "out")
     preset = merged.get("preset", "dense")
     if preset not in ("dense", "sparse"):
@@ -157,8 +154,7 @@ def _cmd_coverage(args) -> int:
     return 0
 
 
-def _cmd_collect(args) -> int:
-    merged = _merged(args, vars(args))
+def _cmd_collect(merged: dict) -> int:
     scene_paths, hand_name, out = _require(merged, "scenes", "hand", "out")
     hand = _resolve_hand(hand_name)
     params = _annotation_params(merged)
@@ -174,8 +170,7 @@ def _cmd_collect(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    merged = _merged(args, vars(args))
+def _cmd_train(merged: dict) -> int:
     trials_path, out = _require(merged, "trials", "out")
     grid = CgrGridParams()
     records = read_trials(grid, trials_path)
@@ -192,8 +187,7 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_detect(args) -> int:
-    merged = _merged(args, vars(args))
+def _cmd_detect(merged: dict) -> int:
     scene_path, hand_path, out = _require(merged, "scene", "hand", "out")
     scene = compose_scene(scene_path)
     hand = _resolve_hand(hand_path)
@@ -209,8 +203,7 @@ def _cmd_detect(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    merged = _merged(args, vars(args))
+def _cmd_eval(merged: dict) -> int:
     scene_paths, hand_name, out = _require(merged, "scenes", "hand", "out")
     hand = _resolve_hand(hand_name)
     policy = merged.get("policy", "detect")
@@ -276,7 +269,7 @@ def cli(argv=None) -> int:
         if not args.command:
             parser.print_usage(sys.stderr)
             return 1
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](_merged(args))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -129,8 +129,7 @@ def _forward_full(model: ModelParams, x: np.ndarray, training: bool):
         a = model.bn_gamma[i] * z_hat + model.bn_beta[i]
         r = np.maximum(a, 0.0)
         cache["layers"].append(
-            {"h_in": h, "z": z, "z_hat": z_hat, "inv_std": inv_std, "relu_mask": r > 0,
-             "mean": mean, "var": var}
+            {"h_in": h, "z_hat": z_hat, "inv_std": inv_std, "relu_mask": r > 0, "mean": mean, "var": var}
         )
         if i == SKIP_FROM:
             skip_out = r
@@ -310,6 +309,8 @@ def _write_model(f, model: ModelParams) -> None:
 def _read_model(f) -> ModelParams:
     (nd,) = struct.unpack("<I", _read_exact(f, 4, ModelError))
     dims = struct.unpack(f"<{nd}I", _read_exact(f, 4 * nd, ModelError))
+    if nd < 2:
+        raise ModelError(f"a model needs at least 2 layer widths, got {nd}")
     n_layers = nd - 1
     hidden = dims[1]
 
