@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cgr import Cgr, CgrGridParams, cgr_grids, frame_from_row, record_dtype
+from .cgr import Cgr, CgrError, CgrGridParams, cgr_grids, frame_from_row, record_dtype
 from .geometry import (
     PointCloud,
     RigidTransform,
@@ -364,7 +364,10 @@ def _unpack_params(f) -> AnnotationParams:
     n, m, d_max, sentinel = struct.unpack("<IIff", _read_exact(f, 16, AnnotationError))
     depths = np.frombuffer(_read_exact(f, 4 * m, AnnotationError), dtype="<f4").astype(float)
     res, v, rad, length = struct.unpack("<fIff", _read_exact(f, 16, AnnotationError))
-    grid = CgrGridParams(n, m, tuple(depths), float(d_max), float(sentinel))
+    try:
+        grid = CgrGridParams(n, m, tuple(depths), float(d_max), float(sentinel))
+    except CgrError as exc:
+        raise AnnotationError(f"bad grid header: {exc}") from exc
     return AnnotationParams(float(res), int(v), float(rad), float(length), grid)
 
 

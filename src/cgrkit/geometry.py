@@ -173,6 +173,8 @@ class PointCloud:
             (n,) = struct.unpack("<Q", _read_exact(f, 8, GeometryError))
             pts = np.frombuffer(_read_exact(f, 12 * n, GeometryError), dtype="<f4").reshape(n, 3)
             flag = _read_exact(f, 1, GeometryError)
+            if flag not in (b"\x00", b"\x01"):
+                raise GeometryError(f"bad normals flag {flag!r}")
             normals = None
             if flag == b"\x01":
                 normals = np.frombuffer(_read_exact(f, 12 * n, GeometryError), dtype="<f4").reshape(n, 3)
@@ -789,16 +791,21 @@ def load_mesh(path) -> TriangleMesh:
 def load_obj(path) -> TriangleMesh:
     verts, tris = [], []
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             parts = line.split()
             if not parts:
                 continue
-            if parts[0] == "v":
-                verts.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "f":
-                idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
-                for k in range(1, len(idx) - 1):  # fan-triangulate
-                    tris.append([idx[0], idx[k], idx[k + 1]])
+            try:
+                if parts[0] == "v":
+                    if len(parts) < 4:
+                        raise ValueError("a vertex needs 3 coordinates")
+                    verts.append([float(x) for x in parts[1:4]])
+                elif parts[0] == "f":
+                    idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
+                    for k in range(1, len(idx) - 1):  # fan-triangulate
+                        tris.append([idx[0], idx[k], idx[k + 1]])
+            except ValueError as exc:
+                raise GeometryError(f"{path}:{lineno}: bad {parts[0]!r} line: {exc}") from exc
     return TriangleMesh(np.array(verts), np.array(tris, dtype=np.int64))
 
 

@@ -602,6 +602,20 @@ def test_read_dataset_truncated(tmp_path, box_scene):
         read_dataset(tmp_path / "cut.bin")
 
 
+def test_read_dataset_corrupt_grid_header(tmp_path, box_scene):
+    """A grid header that CgrGridParams rejects, here an odd n_angles from
+    one flipped bit, raises AnnotationError, not CgrError."""
+    ds = annotate_scene(box_scene, SMALL)
+    path = tmp_path / "ds.bin"
+    write_dataset(ds, path)
+    blob = bytearray(path.read_bytes())
+    assert blob[8:12] == np.uint32(SMALL.grid.n_angles).tobytes() and SMALL.grid.n_angles % 2 == 0
+    blob[8] ^= 1
+    (tmp_path / "bad.bin").write_bytes(bytes(blob))
+    with pytest.raises(AnnotationError, match="bad grid header: n_angles"):
+        read_dataset(tmp_path / "bad.bin")
+
+
 def test_read_dataset_corrupt_count(tmp_path, box_scene):
     ds = annotate_scene(box_scene, SMALL)
     path = tmp_path / "ds.bin"

@@ -485,6 +485,24 @@ def test_point_cloud_load_corrupt_count(tmp_path, cube):
         PointCloud.load(tmp_path / "bad.pc")
 
 
+def test_point_cloud_load_rejects_bad_normals_flag(tmp_path, cube):
+    cloud = sample_surface_points(cube, 50, seed=0)
+    cloud.save(tmp_path / "cloud.pc")
+    blob = bytearray((tmp_path / "cloud.pc").read_bytes())
+    assert blob[16 + 12 * len(cloud)] in (0, 1)
+    blob[16 + 12 * len(cloud)] = 2
+    (tmp_path / "bad.pc").write_bytes(bytes(blob))
+    with pytest.raises(GeometryError, match="bad normals flag"):
+        PointCloud.load(tmp_path / "bad.pc")
+
+
+@pytest.mark.parametrize("line", ["v 0 1", "v 0 x 1", "f 1 2 y"])
+def test_load_obj_names_bad_line(tmp_path, line):
+    (tmp_path / "t.obj").write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{line}\nf 1 2 3\n")
+    with pytest.raises(GeometryError, match=r"t\.obj:4: bad '[vf]' line"):
+        load_obj(tmp_path / "t.obj")
+
+
 # ---------------------------------------------------------------------------
 # Voxelization
 

@@ -251,6 +251,17 @@ def test_load_bank_truncated(tmp_path):
             load_bank(tmp_path / "cut.bin")
 
 
+def test_load_bank_rejects_too_few_widths(tmp_path):
+    save_bank(DecisionBank({0: init_model(seed=0, input_dim=6, hidden=8)}), tmp_path / "b.bin")
+    blob = bytearray((tmp_path / "b.bin").read_bytes())
+    at = 8 + 4 + 4  # magic, model count, type id, then the width count
+    for count in (0, 1):
+        blob[at:at + 4] = np.uint32(count).tobytes()
+        (tmp_path / "bad.bin").write_bytes(bytes(blob))
+        with pytest.raises(ModelError, match="at least 2 layer widths"):
+            load_bank(tmp_path / "bad.bin")
+
+
 def test_load_model_rejects_bank(tmp_path):
     bank = DecisionBank({i: init_model(seed=i, input_dim=4, hidden=8) for i in range(2)})
     save_bank(bank, tmp_path / "b.bin")
