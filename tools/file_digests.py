@@ -14,12 +14,14 @@ round of `perfbench/run.py --seed N` (round seed N * 1000), and prints:
 - one sha256 over the `valid` mask of every `annotate_scene` call of the
   round (the written dataset's and the warm calls of detect and evaluate),
   with the call count and the valid and total record counts;
-- one sha256 over the `(t, tri)` of every `ray_intersect_batch` call and the
-  result of every `ray_intersect` call of the round, with the call and ray
-  counts. The class methods are rebound, as perfbench's `RaySampler`
-  rebinds `ray_intersect`, so every cast counts: the pool-sampling, render
-  and fingertip casts, which no file digest covers, and the CGR grids that
-  `cgr_grids` casts ray by ray;
+- one sha256 over the `(t, tri)` record of every ray that a
+  `ray_intersect_batch` call casts and the result of every `ray_intersect`
+  call of the round, in cast order, with the call and ray counts. Batch
+  records are hashed ray by ray, so re-chunking the same casts into other
+  calls changes the call count but not the digest. The class methods are
+  rebound, as perfbench's `RaySampler` rebinds `ray_intersect`, so every
+  cast counts: the pool-sampling, render and fingertip casts, which no file
+  digest covers, and the CGR grids that `cgr_grids` casts ray by ray;
 - one sha256 over every `cgr_grids` result of the round, with the call and
   frame counts: the grids of records that the approach filter invalidates
   and of the coverage pool's frames, whichever query cast them. `cgr_grids`
@@ -96,8 +98,9 @@ def _recorded_round(spec, seed: int, workdir: str):
 
     def ray_intersect_batch(mesh, *args, **kwargs):
         t, tri = saved_batch(mesh, *args, **kwargs)
-        casts.update(t.tobytes())
-        casts.update(tri.tobytes())
+        records = np.empty(len(t), [("t", "<f8"), ("tri", "<i8")])
+        records["t"], records["tri"] = t, tri
+        casts.update(records.tobytes())
         n_casts[0] += 1
         n_casts[1] += len(t)
         return t, tri
