@@ -536,11 +536,9 @@ class _Bvh:
         return sec, tri, first, np.where(wide, n, count).astype(np.int64)
 
     def _descend(self, n_rows, keep):
-        """The (row, leaf triangle) pairs of one walk of n_rows rows (rays or
-        sections) down the tree, level by level: of each level's (row, node)
-        pairs it keeps those where the node test keep(row, node) is true,
-        sets the leaves aside and takes the inner nodes' children to the
-        next level."""
+        """The (row, leaf triangle) pairs of one level-by-level walk of n_rows
+        rows (rays or sections): each level keeps the (row, node) pairs that
+        pass keep(row, node), sets leaves aside and descends from the rest."""
         row, node = np.arange(n_rows), np.zeros(n_rows, dtype=np.int64)
         leaf_rows, leaf_nodes = [], []
         while len(row):
