@@ -57,7 +57,7 @@ def _read_config(path) -> dict:
 def _merged(args) -> dict:
     """Config-file values overridden by explicitly passed flags."""
     merged = {}
-    if getattr(args, "config", None):
+    if args.config:
         merged.update(_read_config(args.config))
     for key, val in vars(args).items():
         if val is not None:
