@@ -386,7 +386,7 @@ def write_dataset(ds: CgrDataset, path) -> None:
         f.write(DATASET_MAGIC)
         f.write(_pack_params(ds.params))
         f.write(struct.pack("<Q", len(rows)))
-        f.write(rows.tobytes())
+        f.write(rows)
 
 
 def read_dataset(path) -> CgrDataset:

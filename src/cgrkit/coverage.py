@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -189,50 +190,49 @@ def min_chamfer(
     3. the exact chamfer of each patch that remains, from one dense pass over
        all its point pairs with the probe.
 
-    The pool is taken in blocks of at most _PAIR_BLOCK point pairs.
+    The pool is taken as runs of consecutive patches with one point count,
+    each run in blocks of at most _PAIR_BLOCK point pairs.
     """
     limit = np.inf if stop_below is None else stop_below
     best = np.inf
-    per_block = max(1, _PAIR_BLOCK // (len(test_patch.points) * max((len(p.points) for p in pool), default=1)))
-    for start in range(0, len(pool), per_block):
-        d = _cascade(test_patch, pool[start:start + per_block], min(best, limit))[2]
-        if stop_below is not None and np.any(d < stop_below):
-            return float(d[d < stop_below][0])
-        best = min(best, float(d.min(initial=np.inf)))
+    for _, run in groupby(pool, lambda p: len(p.points)):
+        run = list(run)
+        per_block = max(1, _PAIR_BLOCK // (len(test_patch.points) * len(run[0].points)))
+        for start in range(0, len(run), per_block):
+            block = run[start:start + per_block]
+            points, boxes = np.array([p.points for p in block]), np.array([p.bounds for p in block])
+            d = _cascade(test_patch, points, boxes, min(best, limit))[2]
+            if stop_below is not None and np.any(d < stop_below):
+                return float(d[d < stop_below][0])
+            best = min(best, float(d.min(initial=np.inf)))
     return best
 
 
 def _cascade(
-    test_patch: LocalGeometry, block: list[LocalGeometry], cutoff: float
+    test_patch: LocalGeometry, points: np.ndarray, boxes: np.ndarray, cutoff: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """The cascade of min_chamfer on one block: the indices, in block order,
-    of the patches whose bounds 1 and 2 stay below cutoff plus the slack, the
-    bounds (bound 2 only where bound 1 passed), the exact chamfers of those
-    patches and the slack."""
+    """The cascade of min_chamfer on one block of k patches of P points each,
+    points (k, P, 3) and boxes (k, 2, 3): the indices, in block order, of the
+    patches whose bounds 1 and 2 stay below cutoff plus the slack, the bounds
+    (bound 2 only where bound 1 passed), the exact chamfers of those patches
+    and the slack."""
     q = test_patch.points
-    boxes = np.array([p.bounds for p in block])
-    sizes = np.array([len(p.points) for p in block])
+    k, P = points.shape[:2]
     slack = _BOUND_SLACK * max(1.0, np.abs(boxes).max(), np.abs(test_patch.bounds).max())
     fwd = _box_distances(q, boxes)
-    bwd = _box_distances(np.concatenate([p.points for p in block]), test_patch.bounds[None])[0]
-    bwd = np.add.reduceat(bwd, _offsets(sizes)) / sizes
+    bwd = _box_distances(points.reshape(-1, 3), test_patch.bounds[None])[0].reshape(k, P).mean(1)
     lb = 0.5 * (fwd.mean(1) + bwd)
     live = np.flatnonzero(lb < cutoff + slack)
-    if len(live):
-        cols = np.arange(0, len(q), 3)
-        near = cdist(np.concatenate([block[i].points for i in live]), q[cols])
-        fwd[live[:, None], cols] = np.minimum.reduceat(near, _offsets(sizes[live]), axis=0)
-        lb[live] = 0.5 * (fwd[live].mean(1) + bwd[live])
-        live = live[lb[live] < cutoff + slack]
-    if len(live) == 0:
-        return live, lb, np.empty(0), slack
-    # per patch, the column minima are the forward distances and the row
-    # minima the backward ones; each mean is np.mean over one patch, as the
-    # KD-tree chamfer takes it (a reduceat sum over sizes rounds differently)
-    starts = _offsets(sizes[live])
-    near = cdist(np.concatenate([block[i].points for i in live]), q)
-    fwd, bwd = np.minimum.reduceat(near, starts, axis=0), near.min(1)
-    exact = np.array([0.5 * (np.mean(f) + np.mean(bwd[s:s + n])) for f, s, n in zip(fwd, starts, sizes[live])])
+    cols = np.arange(0, len(q), 3)
+    fwd[live[:, None], cols] = cdist(points[live].reshape(-1, 3), q[cols]).reshape(len(live), P, len(cols)).min(1)
+    lb[live] = 0.5 * (fwd[live].mean(1) + bwd[live])
+    live = live[lb[live] < cutoff + slack]
+    # per patch, the minima over its points are the forward distances and
+    # those over the probe's points the backward ones; a mean over the last
+    # axis sums each row pairwise, as np.mean over one patch does, so the
+    # exact chamfers are bit for bit the KD-tree chamfer's
+    near = cdist(points[live].reshape(-1, 3), q).reshape(len(live), P, len(q))
+    exact = 0.5 * (near.min(1).mean(1) + near.min(2).mean(1))
     return live, lb, exact, slack
 
 
@@ -247,11 +247,6 @@ def _box_distances(points: np.ndarray, boxes: np.ndarray) -> np.ndarray:
         gap *= gap
         sq += gap
     return np.sqrt(sq, out=sq)
-
-
-def _offsets(sizes: np.ndarray) -> np.ndarray:
-    """Start row of each patch in its patches' concatenated points."""
-    return np.concatenate([[0], np.cumsum(sizes[:-1])])
 
 
 @dataclass

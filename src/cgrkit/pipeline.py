@@ -397,7 +397,7 @@ def write_trials(records: list[TrialRecord], grid_params, path) -> None:
     with open(path, "wb") as f:
         f.write(TRIALS_MAGIC)
         f.write(struct.pack("<Q", len(rows)))
-        f.write(rows.tobytes())
+        f.write(rows)
 
 
 def read_trials(grid_params, path) -> list[TrialRecord]:
@@ -415,12 +415,9 @@ def read_trials(grid_params, path) -> list[TrialRecord]:
 
 def trials_to_training_data(records: list[TrialRecord]):
     """Per-type (features, labels) arrays for decision-model training."""
-    by_type: dict = {}
-    for rec in records:
-        by_type.setdefault(rec.grasp_type_id, ([], []))
-        by_type[rec.grasp_type_id][0].append(rec.grid.reshape(-1))
-        by_type[rec.grasp_type_id][1].append(rec.outcome)
-    return {
-        t: (np.stack(feats), np.array(labels, dtype=float))
-        for t, (feats, labels) in sorted(by_type.items())
-    }
+    if not records:
+        return {}
+    feats = np.stack([rec.grid.reshape(-1) for rec in records])
+    labels = np.array([rec.outcome for rec in records], dtype=float)
+    types = np.array([rec.grasp_type_id for rec in records])
+    return {int(t): (feats[types == t], labels[types == t]) for t in np.unique(types)}

@@ -87,8 +87,11 @@ def test_cone_edges_geometry():
 
 
 def _linprog_feasible(A, b):
-    """Independent feasibility oracle for {x >= 0 : A x = b} (HiGHS)."""
+    """Independent feasibility oracle for {x >= 0 : A x = b} (HiGHS): True at
+    an optimum, False when HiGHS finds the LP infeasible; any other status,
+    such as 4 (numerical trouble), is no verdict and fails the caller."""
     res = linprog(np.zeros(A.shape[1]), A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    assert res.status in (0, 2), f"HiGHS gave no verdict: status {res.status}: {res.message}"
     return res.status == 0
 
 
@@ -314,6 +317,18 @@ def test_force_closure_agrees_with_linprog_on_degenerate_grasps(case):
     except ContactError:
         return
     assert _agrees_with_highs(got, A, b)
+
+
+def test_linprog_oracle_gives_no_verdict_on_numerical_trouble():
+    """HiGHS returns status 4 (numerical trouble) on the feasibility LP of two
+    coincident opposed contacts 1e3 m out at friction 1e-9, which is feasible:
+    the simplex says so and HiGHS's phase-1 optimum is 0. The oracle raises
+    there instead of reading the LP as infeasible."""
+    grasp = [Contact(_FAR_PINCH[0], _FAR_PINCH[1]), Contact(_FAR_PINCH[0], -np.array(_FAR_PINCH[1]))]
+    A, b = _closure_lp(grasp, ForceClosureParams(friction=1e-9, cone_edges=3))
+    with pytest.raises(AssertionError, match="status 4"):
+        _linprog_feasible(A, b)
+    assert _phase1_simplex(A, b) and _highs_phase1(A, b) == 0.0
 
 
 @st.composite

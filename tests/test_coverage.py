@@ -1,3 +1,4 @@
+from itertools import groupby
 from unittest import mock
 
 import numpy as np
@@ -198,19 +199,36 @@ def cascade_case():
     return pool, probes, kd, quad
 
 
+def _cascade_by_runs(q, pool, cutoff):
+    """coverage._cascade called once on each run of consecutive pool patches
+    with one point count, its results joined in pool order: live indices into
+    the pool, bounds, exact chamfers and the largest slack."""
+    results, start = [], 0
+    for _, run in groupby(pool, lambda p: len(p.points)):
+        run = list(run)
+        points, boxes = np.array([p.points for p in run]), np.array([p.bounds for p in run])
+        live, lb, exact, slack = coverage._cascade(q, points, boxes, cutoff)
+        results.append((start + live, lb, exact, slack))
+        start += len(run)
+    live, lb, exact, slack = zip(*results)
+    return np.concatenate(live), np.concatenate(lb), np.concatenate(exact), max(slack)
+
+
 @pytest.mark.parametrize("strides", [(), (3,), (3, 1)])
 def test_lower_bounds_are_sound(cascade_case, strides):
     """On every pair, the cascade's bound after the exact forward passes of
     the given strides (none: the box bound alone; (3, 1): the exact chamfer)
     is at most the KD-tree chamfer plus the slack; after (3, 1) it equals the
-    KD-tree chamfer bit for bit."""
+    KD-tree chamfer bit for bit. The pool's runs of 48-, 1- and 48-point
+    patches go through _cascade one run at a time."""
     pool, probes, kd, _ = cascade_case
+    assert [len(list(run)) for _, run in groupby(pool, lambda p: len(p.points))] == [len(pool) - 3, 1, 2]
     for q, want in zip(probes, kd):
         if strides:
-            live, lb, exact, slack = coverage._cascade(q, pool, np.inf)
+            live, lb, exact, slack = _cascade_by_runs(q, pool, np.inf)
             assert np.array_equal(live, np.arange(len(pool)))
         else:  # with cutoff -inf no patch passes the box bound
-            live, lb, exact, slack = coverage._cascade(q, pool, -np.inf)
+            live, lb, exact, slack = _cascade_by_runs(q, pool, -np.inf)
             assert live.size == 0 and exact.size == 0
         assert 0.0 < slack < 1e-11
         bound = exact if strides == (3, 1) else lb
@@ -219,9 +237,9 @@ def test_lower_bounds_are_sound(cascade_case, strides):
             assert np.array_equal(exact, want)
     # the far probe is ruled out by its bounding box alone
     far = probes[-4]
-    live, lb, exact, _ = coverage._cascade(far, pool, 0.001)
+    live, lb, exact, _ = _cascade_by_runs(far, pool, 0.001)
     assert live.size == 0 and exact.size == 0
-    assert np.array_equal(lb, coverage._cascade(far, pool, -np.inf)[1])
+    assert np.array_equal(lb, _cascade_by_runs(far, pool, -np.inf)[1])
 
 
 @pytest.mark.parametrize("tau", [1e-9, 0.001, 0.01])

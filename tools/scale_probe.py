@@ -18,6 +18,12 @@ Rows, by their "probe" key:
   through the icosphere's box, in microseconds.
 - `ray_batch`: one `ray_intersect_batch` call of 20,000 such rays, best of
   3, in microseconds per ray.
+- `min_chamfer`: ms per probe of `is_covered` at tau = 1 mm and of
+  `min_chamfer` without `stop_below`, median of 3 passes over 20 probes.
+  The pool is criterion 10's sparse preset (48 points per patch) over its
+  five base shapes; the probes are 20 copies of pool patches, all covered,
+  and 20 patches of a novel 5x7x9 cm box, none covered (`covered` counts
+  them).
 - `annotate_cli`: one CLI-default `cgrkit annotate` (5 mm voxels, 300
   approach directions, 48x5 grid) of a 5 cm cube, run in a child process:
   its wall time and its peak RSS from getrusage(RUSAGE_CHILDREN).
@@ -48,7 +54,14 @@ import numpy as np  # noqa: E402
 from cgrkit import cgr, geometry  # noqa: E402
 from cgrkit.annotation import surface_voxel_points  # noqa: E402
 from cgrkit.cgr import CgrGridParams  # noqa: E402
-from cgrkit.coverage import DEFAULT_BOX_DIMS  # noqa: E402
+from cgrkit.coverage import (  # noqa: E402
+    DEFAULT_BOX_DIMS,
+    LocalGeometry,
+    is_covered,
+    min_chamfer,
+    sample_local_geometries,
+    sparse_params,
+)
 
 ICOSPHERES = {f"ico{k}": (lambda k=k: geometry.make_icosphere(0.04, k)) for k in (3, 4, 5)}
 MESHES = {
@@ -68,6 +81,15 @@ SCAN = CgrGridParams(n_angles=16, n_sections=3, section_depths=(0.005, 0.015, 0.
 _HALF_BOX = np.asarray(DEFAULT_BOX_DIMS) / 2.0
 COVER = {n: CgrGridParams(n_angles=n, n_sections=1, section_depths=(_HALF_BOX[2],),
                           d_max=float(np.linalg.norm(_HALF_BOX))) for n in (12, 24)}
+# criterion 10's fast sampling settings and base shapes
+COVERAGE_PARAMS = sparse_params(points_per_patch=48, surface_samples=3000, grasp_point_resolution=0.04)
+COVERAGE_SHAPES = {
+    "cube": lambda: geometry.make_box((0.05, 0.05, 0.05)),
+    "boxA": lambda: geometry.make_box((0.04, 0.05, 0.07)),
+    "boxB": lambda: geometry.make_box((0.06, 0.06, 0.05)),
+    "cyl": lambda: geometry.make_cylinder(0.02, 0.06, segments=24),
+    "sph": lambda: geometry.make_icosphere(0.03, 2),
+}
 GRID_POINTS = [
     *((name, "48x5", DEFAULT) for name in ("ico3", "ico4", "ico5", "cube", "slim", "cyl", "cyl64")),
     *((name, "16x3", SCAN) for name in ("cube", "cyl", "cyl64", "scan_ico3")),
@@ -130,6 +152,27 @@ def probe_geometry(meshes):
         _row(probe="ray_batch", mesh=name, triangles=len(mesh), rays=len(origins), us_per_ray=1e6 * secs / len(origins))
 
 
+def probe_coverage():
+    pool = [p for name, make in COVERAGE_SHAPES.items()
+            for p in sample_local_geometries(make(), COVERAGE_PARAMS, 0, name)]
+    rng = np.random.default_rng(0)
+    novel = sample_local_geometries(geometry.make_box((0.05, 0.07, 0.09)), COVERAGE_PARAMS, 0, "novel")
+    probes = {
+        "copied": [LocalGeometry(pool[i].points.copy(), "copy", None) for i in rng.choice(len(pool), 20, False)],
+        "novel": [novel[i] for i in rng.choice(len(novel), 20, False)],
+    }
+    calls = {"is_covered": lambda q: is_covered(q, pool, 0.001), "unbounded": lambda q: min_chamfer(q, pool) < 0.001}
+    for kind, patches in probes.items():
+        for call, fn in calls.items():
+            times = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                results = [fn(q) for q in patches]
+                times.append(time.perf_counter() - t0)
+            _row(probe="min_chamfer", probes=kind, call=call, pool=len(pool), points=COVERAGE_PARAMS.points_per_patch,
+                 ms_per_probe=1e3 * float(np.median(times)) / len(patches), covered=sum(results))
+
+
 def probe_annotate():
     with tempfile.TemporaryDirectory() as tmp:
         geometry.save_obj(geometry.make_box((0.05, 0.05, 0.05)), os.path.join(tmp, "cube.obj"))
@@ -152,6 +195,7 @@ def main(argv=None) -> int:
     ap.add_argument("--skip-annotate", action="store_true", help="skip the minute-long CLI annotate")
     args = ap.parse_args(argv)
     probe_geometry({name: make() for name, make in MESHES.items()})
+    probe_coverage()
     if not args.skip_annotate:
         probe_annotate()
     return 0
