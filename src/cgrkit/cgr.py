@@ -137,19 +137,23 @@ def cgr_grids(scene_mesh: TriangleMesh, frames: np.ndarray, params: CgrGridParam
 
 
 def _by_sections(params: CgrGridParams, scene_mesh: TriangleMesh) -> bool:
-    """Whether cgr_grids casts by sections: with N >= 32 rays per section on
-    at most N^3 / 8 triangles. A section walk replaces N ray walks but then
-    filters the triangles that cross its plane, which grow with the mesh,
-    so the section query pays for many rays on small meshes. The bound is
-    fitted to the crossover that tools/scale_probe.py measured (BLAS on one
-    thread, 2-vCPU VM), as section over ray query speed on T triangles:
-    N = 32: 3.5x at T = 96, 2.5x at 1,280, 0.77x at 5,120; N = 40: 1.3x at
-    5,120, 0.72x at 20,480; N = 48: 3.8x at 12, 3.2x at 1,280, 1.7x at
-    5,120, 0.80x at 20,480; N = 64: 1.5x at 20,480. Below 32 rays, where
-    the cost per section weighs most, grids keep the ray query, coverage
-    sampling's 12- and 24-ray grids included."""
+    """Whether cgr_grids casts by sections: on at most N^3 / 8 triangles with
+    N >= 32 rays per section, and on at most 2 N^2 / 3 with fewer. A section
+    walk replaces N ray walks but then filters the triangles that cross its
+    plane, which grow with the mesh, so the section query pays for many rays
+    on small meshes; the fewer the rays, the more its cost per section
+    weighs. The bounds are fitted to the crossover that tools/scale_probe.py
+    measured (BLAS on one thread, 2-vCPU VM), as section over ray query
+    speed on T triangles: N = 4: 0.9x at T = 12; N = 12 (coverage
+    sampling's sparse grid): 1.8-2.3x at 12, 1.35-1.6x at 96, 0.6-0.9x at
+    256; N = 16, three sections: 1.4-2.2x at 96, 0.64-0.85x at 256 and
+    1,280; N = 24: 2.3-2.7x at 96; N = 32: 3.5x at 96, 2.5x at 1,280, 0.77x
+    at 5,120; N = 40: 1.3x at 5,120, 0.72x at 20,480; N = 48: 3.8x at 12,
+    3.2x at 1,280, 1.7x at 5,120, 0.80x at 20,480; N = 64: 1.5x at 20,480.
+    T alone does not see a mesh's shape: 12 rays measured 1.35x on a
+    320-triangle icosphere, which keeps the ray query."""
     n = params.n_angles
-    return n >= 32 and len(scene_mesh) <= n ** 3 // 8
+    return len(scene_mesh) <= (n ** 3 // 8 if n >= 32 else 2 * n * n // 3)
 
 
 def _grids(scene_mesh: TriangleMesh, frames: np.ndarray, params: CgrGridParams, sections: bool) -> np.ndarray:

@@ -121,14 +121,13 @@ def sample_local_geometries(
     # grasp points: the surface samples' mean point in each occupied cell
     grasp_points = bin_points(surface.points, np.zeros(3), params.grasp_point_resolution)[1]
     dirs = preset_directions(params.approach_directions)
-    bx, by, bz = params.box_dims
-    half = np.array([bx / 2.0, by / 2.0, bz / 2.0])
+    hx, hy, hz = (d / 2.0 for d in params.box_dims)  # the box is [-hx, hx] x [-hy, hy] x [0, 2 hz]
     # single section at half the box depth; reach bounded by the box
     grid = CgrGridParams(
         n_angles=max(4, 2 * params.inplane_angles),
         n_sections=1,
-        section_depths=(bz / 2.0,),
-        d_max=float(np.linalg.norm(half)),
+        section_depths=(hz,),
+        d_max=float(np.linalg.norm([hx, hy, hz])),
     )
     frames = point_direction_frames(grasp_points, dirs)
     angle_idx = np.arange(params.inplane_angles) * (grid.n_angles // 2 // params.inplane_angles)
@@ -144,16 +143,16 @@ def sample_local_geometries(
         R, t = R_box[j], grasp_points[point_idx]
         # RigidTransform(R, t).inverse().apply, term for term
         local = surface.points @ R + -R.T @ t
-        inside = np.all(np.abs(local - [0.0, 0.0, half[2]]) <= half, axis=1)
-        pts = local[inside]
-        if len(pts) == 0:
+        inside = np.flatnonzero((np.abs(local[:, 0]) <= hx) & (np.abs(local[:, 1]) <= hy)
+                                & (np.abs(local[:, 2] - hz) <= hz))  # a reduction over 3-wide rows is slow
+        if len(inside) == 0:
             continue
         # per-patch rng keyed on master-grid indices: the same pose
         # yields an identical patch under any preset, so denser presets
         # produce strict supersets of sparser ones
         rng = np.random.default_rng((seed, point_idx, dir_idx * dir_stride, int(a[j]) * master_angle_stride))
-        sel = rng.integers(0, len(pts), size=params.points_per_patch)
-        patches.append(LocalGeometry(pts[sel], object_id, frame_array(R, t)))
+        sel = rng.integers(0, len(inside), size=params.points_per_patch)
+        patches.append(LocalGeometry(local[inside[sel]], object_id, frame_array(R, t)))
     return patches
 
 

@@ -111,9 +111,24 @@ def frame_from_z(z: np.ndarray) -> np.ndarray:
 
 def point_direction_frames(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """[R | t] frames (P * D, 3, 4) at P points crossed with D approach
-    directions (frame_from_z z-axes), point-major."""
-    rotations = np.array([frame_from_z(d) for d in directions])
+    directions (frame_from_z z-axes), point-major. The D rotations are
+    computed together, each bit for bit frame_from_z's."""
+    z = np.asarray(directions, dtype=float).reshape(-1, 3)
+    norm = _row_norms(z)
+    if np.any(norm < 1e-12):
+        raise GeometryError("degenerate direction")
+    z = z / norm
+    u = np.cross(np.where(np.abs(z[:, :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), z)
+    u /= _row_norms(u)
+    rotations = np.stack([u, np.cross(z, u), z], axis=2)
     return frame_array(np.tile(rotations, (len(points), 1, 1)), np.repeat(points, len(rotations), axis=0))
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """(n, 1) norms of the rows of x (n, 3). Each is a dot product, as
+    np.linalg.norm of one vector takes it, so the two agree bit for bit; a
+    sum of squares along the rows rounds differently."""
+    return np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:
@@ -705,10 +720,14 @@ def bin_points(points: np.ndarray, origin: np.ndarray, size: float) -> tuple[np.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     cells = np.floor((points - origin) / size).astype(np.int64)
-    keys, inverse = np.unique(cells, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
+    order = np.lexsort(cells.T[::-1])  # first coordinate most significant
+    cells = cells[order]
+    first = np.ones(len(cells), dtype=bool)  # where a new cell starts in sorted order
+    first[1:] = (cells[1:, 0] != cells[:-1, 0]) | (cells[1:, 1] != cells[:-1, 1]) | (cells[1:, 2] != cells[:-1, 2])
+    inverse = np.empty(len(cells), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
     sums = np.column_stack([np.bincount(inverse, weights=points[:, d]) for d in range(3)])
-    return keys, sums / np.bincount(inverse)[:, None]
+    return cells[first], sums / np.bincount(inverse)[:, None]
 
 
 # ---------------------------------------------------------------------------

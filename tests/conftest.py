@@ -15,7 +15,6 @@ from cgrkit.coverage import (
 from cgrkit.geometry import (
     RigidTransform,
     VoxelGrid,
-    bin_points,
     frame_array,
     frame_from_z,
     make_box,
@@ -90,7 +89,7 @@ def reference_patches(obj, params, seed=0, object_id=""):
                          section_depths=(bz / 2.0,), d_max=float(np.linalg.norm(half)))
     angle_stride = grid.n_angles // 2 // params.inplane_angles
     patches = []
-    grasp_points = bin_points(surface.points, np.zeros(3), params.grasp_point_resolution)[1]
+    grasp_points = reference_bin_points(surface.points, np.zeros(3), params.grasp_point_resolution)[1]
     for point_idx, p in enumerate(grasp_points):
         for dir_idx, d in enumerate(dirs):
             cgr = compute_cgr(obj, RigidTransform(frame_from_z(d), p), grid)
@@ -110,6 +109,17 @@ def reference_patches(obj, params, seed=0, object_id=""):
                 sel = rng.integers(0, len(pts), size=params.points_per_patch)
                 patches.append(LocalGeometry(pts[sel], object_id, frame_array(R_box, cgr.frame.translation)))
     return patches
+
+
+def reference_bin_points(points, origin, size):
+    """bin_points by np.unique over the cell rows: lexicographic keys, and
+    each mean from a bincount of the points in input order."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    cells = np.floor((points - origin) / size).astype(np.int64)
+    keys, inverse = np.unique(cells, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    sums = np.column_stack([np.bincount(inverse, weights=points[:, d]) for d in range(3)])
+    return keys, sums / np.bincount(inverse)[:, None]
 
 
 def reference_min_chamfer(test_patch, pool, stop_below=None):

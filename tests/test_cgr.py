@@ -302,17 +302,25 @@ def test_section_query_matches_brute_force_on_generated_frames(case):
 
 
 def test_cgr_grids_selects_sections_for_many_rays_on_small_meshes(cube):
-    """Sections for the default 48-ray grid on the benchmark's loop meshes;
-    rays for 16-ray grids on 256 and 1,280 triangles and for the 12- and
-    24-ray grids of coverage sampling."""
+    """Sections for the default 48-ray grid on the benchmark's loop meshes
+    and for coverage sampling's 12- and 24-ray grids on meshes of up to 96
+    triangles; rays for 4-ray grids (coverage probes at two in-plane angles)
+    and for 16-ray grids on 256 and 1,280 triangles. At 32 rays the bound is
+    N^3 / 8: 1,280 triangles take sections and 5,120 rays."""
     default = CgrGridParams()
+    cyl = geometry.make_cylinder(0.018, 0.055, 24)
     assert cgr._by_sections(default, cube)
-    assert cgr._by_sections(default, geometry.make_cylinder(0.018, 0.055, 24))
-    scan = CgrGridParams(n_angles=16, n_sections=3, section_depths=(0.005, 0.015, 0.03))
-    for mesh in (geometry.make_cylinder(0.02, 0.06, 64), geometry.make_icosphere(0.03, 3)):
-        assert not cgr._by_sections(scan, mesh)
+    assert cgr._by_sections(default, cyl)
     for n in (12, 24):
-        assert not cgr._by_sections(CgrGridParams(n_angles=n, n_sections=1, section_depths=(0.04,)), cube)
+        single = CgrGridParams(n_angles=n, n_sections=1, section_depths=(0.04,))
+        assert cgr._by_sections(single, cube) and cgr._by_sections(single, cyl)
+    assert not cgr._by_sections(CgrGridParams(n_angles=4, n_sections=1, section_depths=(0.04,)), cube)
+    scan = CgrGridParams(n_angles=16, n_sections=3, section_depths=(0.005, 0.015, 0.03))
+    ico3 = geometry.make_icosphere(0.03, 3)
+    for mesh in (geometry.make_cylinder(0.02, 0.06, 64), ico3):
+        assert not cgr._by_sections(scan, mesh)
+    assert cgr._by_sections(CgrGridParams(n_angles=32), ico3)
+    assert not cgr._by_sections(CgrGridParams(n_angles=32), geometry.make_icosphere(0.03, 4))
 
 
 def test_cgr_grids_chunked_equals_default(cube, monkeypatch):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgrkit import coverage
+from cgrkit import cgr, coverage
+from cgrkit.cgr import CgrGridParams
 from cgrkit.coverage import (
     MASTER_DIRECTIONS,
     CoverageError,
@@ -102,10 +103,14 @@ def test_sparse_pool_is_subset_of_dense():
 @pytest.mark.parametrize("preset", [dense_params, sparse_params])
 def test_patches_match_per_frame_reference(preset):
     """Every patch, its points and its box pose, equals the one-frame-at-a-time
-    reference bit for bit, in the same order."""
+    reference bit for bit, in the same order. The 12-triangle cube casts its
+    grids by sections and the 1,280-triangle icosphere by rays."""
     params = preset(points_per_patch=48, surface_samples=3000, grasp_point_resolution=0.04)
     shapes = {"boxA": make_box((0.04, 0.05, 0.07)), "cyl": make_cylinder(0.02, 0.06, segments=24),
-              "sph": make_icosphere(0.03, 2)}
+              "sph": make_icosphere(0.03, 2), "cube": make_box((0.05, 0.05, 0.05)),
+              "ico3": make_icosphere(0.03, 3)}
+    grid = CgrGridParams(n_angles=2 * params.inplane_angles, n_sections=1, section_depths=(0.04,))
+    assert cgr._by_sections(grid, shapes["cube"]) and not cgr._by_sections(grid, shapes["ico3"])
     for oid, mesh in shapes.items():
         got = sample_local_geometries(mesh, params, seed=2, object_id=oid)
         want = reference_patches(mesh, params, seed=2, object_id=oid)

@@ -14,8 +14,10 @@ from cgrkit.geometry import (
     RigidTransform,
     TriangleMesh,
     VoxelGrid,
+    bin_points,
     chamfer_distance,
     fibonacci_sphere,
+    frame_array,
     frame_from_z,
     load_mesh,
     load_obj,
@@ -25,6 +27,7 @@ from cgrkit.geometry import (
     make_icosphere,
     merge_meshes,
     orthonormal_tangents,
+    point_direction_frames,
     render_partial_cloud,
     rotation_z,
     sample_surface_points,
@@ -32,7 +35,14 @@ from cgrkit.geometry import (
     voxelize_mesh,
 )
 
-from conftest import assert_same_grid, random_rotation, random_transform, reference_voxelize, triangle_soups
+from conftest import (
+    assert_same_grid,
+    random_rotation,
+    random_transform,
+    reference_bin_points,
+    reference_voxelize,
+    triangle_soups,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +105,48 @@ def test_orthonormal_tangents():
             assert abs(np.dot(a, b)) < 1e-12
         assert abs(np.linalg.norm(u) - 1) < 1e-12
         assert abs(np.linalg.norm(v) - 1) < 1e-12
+
+
+@st.composite
+def _directions(draw):
+    """Approach directions: random, axis-aligned, |x| = 0.9 exactly, with
+    -0.0 components, each scaled to a length from 1e-6 to 1e6."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(["free", "axis", "x0.9", "signed_zero"]), min_size=1, max_size=12))
+    dirs = []
+    for kind in kinds:
+        if kind == "axis":
+            d = np.eye(3)[rng.integers(3)] * rng.choice([-1.0, 1.0])
+        elif kind == "x0.9":  # unit length but for rounding: the tangent choice's edge
+            y = rng.uniform(-np.sqrt(0.19), np.sqrt(0.19))
+            d = np.array([rng.choice([-0.9, 0.9]), y, rng.choice([-1.0, 1.0]) * np.sqrt(0.19 - y * y)])
+        else:
+            d = rng.standard_normal(3)
+        if kind == "signed_zero" or rng.random() < 0.3:
+            d[rng.random(3) < 0.5] = -0.0
+        if not d.any():
+            d[rng.integers(3)] = rng.choice([-1.0, 1.0])
+        dirs.append(d * 10.0 ** rng.uniform(-6, 6))
+    return np.array(dirs)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_directions())
+def test_point_direction_frames_match_frame_from_z(dirs):
+    """The stacked rotations are frame_from_z's, bit for bit, point-major."""
+    points = np.array([[0.01, -0.02, 0.03], [-1.5, 2.0, 1e3]])
+    want = frame_array(np.tile(np.array([frame_from_z(d) for d in dirs]), (2, 1, 1)), np.repeat(points, len(dirs), 0))
+    got = point_direction_frames(points, dirs)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [1e-13, 0.0, 0.0]])
+def test_point_direction_frames_reject_degenerate_directions(bad):
+    dirs = np.array([[0.0, 0.0, 1.0], bad])
+    with pytest.raises(GeometryError, match="degenerate direction"):
+        frame_from_z(dirs[1])
+    with pytest.raises(GeometryError, match="degenerate direction"):
+        point_direction_frames(np.zeros((1, 3)), dirs)
 
 
 def test_fibonacci_sphere_unit_and_spread():
@@ -635,6 +687,41 @@ def test_voxelize_chunk_size_does_not_change_masks(monkeypatch, sphere, chunk):
     monkeypatch.setattr(geometry, "_SAT_CHUNK", chunk)
     for (mesh, size), grid in zip(cases, want):
         assert_same_grid(voxelize_mesh(mesh, size), grid)
+
+
+@st.composite
+def _clouds(draw):
+    """Point clouds for bin_points: a single point or more, with duplicated
+    points, coordinates on cell faces, negative coordinates, offsets near
+    1e3 m and spreads of up to a million cells."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.sampled_from([0.004, 0.03, 0.04, 0.25, 1.0]))
+    origin = np.array(draw(st.sampled_from([(0.0, 0.0, 0.0), (-0.013, 0.02, -0.5), (1e3, -1e3, 999.99)])))
+    n = draw(st.one_of(st.just(1), st.integers(2, 40)))
+    center = draw(st.sampled_from([0.0, -0.05, 1e3, -1e3 + 0.017]))
+    spread = size * draw(st.sampled_from([0.5, 4.0, 1e6]))
+    points = center + rng.uniform(-spread, spread, (n, 3))
+    on_face = rng.random((n, 3)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    points[on_face] = (origin + np.floor((points - origin) / size) * size)[on_face]
+    copied = rng.random(n) < draw(st.sampled_from([0.0, 0.5]))
+    points[copied] = points[rng.integers(0, n, n)][copied]
+    return points, origin, size
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_clouds())
+def test_bin_points_matches_unique_reference(cloud):
+    """Cells and means equal the np.unique grouping's, bit for bit."""
+    keys, means = bin_points(*cloud)
+    want_keys, want_means = reference_bin_points(*cloud)
+    assert keys.dtype == want_keys.dtype and keys.shape == want_keys.shape
+    assert keys.tobytes() == want_keys.tobytes()
+    assert means.shape == want_means.shape and means.tobytes() == want_means.tobytes()
+
+
+def test_bin_points_of_no_points():
+    keys, means = bin_points(np.zeros((0, 3)), np.zeros(3), 0.01)
+    assert keys.shape == means.shape == (0, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cgrkit.model import (
     BATCH_SIZE,
@@ -11,6 +13,7 @@ from cgrkit.model import (
     ModelError,
     ModelParams,
     TrainConfig,
+    _forward_full,
     forward,
     gradients,
     init_model,
@@ -138,6 +141,77 @@ def test_gradients_match_finite_differences(training):
             assert abs(num - ana) / denom < 1e-4, f"{name}[{idx}]: {num} vs {ana}"
             checked += 1
     assert checked > 300
+
+
+def _relu_masks(model, x, training):
+    """The ReLU masks of a forward pass, as bytes."""
+    cache = _forward_full(model, x, training)[1]
+    return np.concatenate([lc["relu_mask"].ravel() for lc in cache["layers"]]).tobytes()
+
+
+@st.composite
+def _mlp_cases(draw):
+    """A model of generated width with random biases, normalization
+    parameters and running statistics, and an input scale of 0.1, 1 or 10."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = init_model(seed=int(rng.integers(1000)), input_dim=draw(st.integers(1, 20)),
+                       hidden=draw(st.integers(2, 12)))
+    for a in [*model.biases, *model.bn_gamma, *model.bn_beta, *model.running_mean]:
+        a += rng.normal(0.0, 0.5, a.shape)
+    for v in model.running_var:
+        v *= rng.uniform(0.25, 4.0, v.shape)
+    return model, rng, 10.0 ** draw(st.sampled_from([-1.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("batch", [1, 2, 5])
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(case=_mlp_cases(), training=st.booleans())
+def test_gradients_match_finite_differences_on_generated_shapes(batch, case, training):
+    """gradients against central differences on generated widths and batch
+    sizes. An entry whose step of 1e-6 moves a ReLU across its kink has no
+    derivative there and is skipped. So is an input with a probability
+    outside the loss's clamp: the clamped loss is flat there, while
+    gradients passes the clamp through (test_gradients_pass_the_loss_clamp)."""
+    model, rng, scale = case
+    x = scale * rng.standard_normal((batch, model.input_dim))
+    y = (rng.random(batch) > 0.5).astype(float)
+    p = forward(model, x, training=training)
+    assume(np.all((p > 1e-7) & (p < 1.0 - 1e-7)))
+    _, grads = gradients(model, x, y, training=training)
+    smooth = _relu_masks(model, x, training)
+    checked = skipped = 0
+    for name, arr in model.flat_parameters():
+        flat, ana = arr.reshape(-1), grads[name].reshape(-1)
+        for idx in rng.choice(flat.size, size=min(6, flat.size), replace=False):
+            old, crossed = flat[idx], False
+            for step in (1e-6, -1e-6):
+                flat[idx] = old + step
+                crossed |= _relu_masks(model, x, training) != smooth
+            flat[idx] = old
+            if crossed:
+                skipped += 1
+                continue
+            num = _numeric_grad(model, x, y, flat, idx, training=training)
+            assert abs(num - ana[idx]) < 5e-9 or abs(num - ana[idx]) / max(abs(num), abs(ana[idx])) < 1e-4, (
+                f"{name}[{idx}]: {num} vs {ana[idx]}")
+            checked += 1
+    assert skipped <= checked // 10
+
+
+def test_gradients_pass_the_loss_clamp():
+    """A prediction outside the loss's probability clamp: the loss is flat
+    in it, so central differences read 0, but gradients returns the
+    derivative at the clamp times the sigmoid's slope, as if the clamp were
+    absent."""
+    model = init_model(seed=0, input_dim=1, hidden=2)
+    model.biases[-1][0] = -20.0  # p = sigmoid(about -20) < 1e-7
+    x, y = np.array([[0.3]]), np.array([1.0])
+    p = forward(model, x, training=False)[0]
+    assert p < 1e-7
+    _, grads = gradients(model, x, y, training=False)
+    b = model.biases[-1]
+    assert _numeric_grad(model, x, y, b, 0, training=False) == 0.0
+    assert grads["b6"][0] == pytest.approx(-1.0 / 1e-7 * p * (1.0 - p))
 
 
 # ---------------------------------------------------------------------------

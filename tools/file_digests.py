@@ -6,7 +6,9 @@ round of `perfbench/run.py --seed N` (round seed N * 1000), and prints:
 
 - the sha256 of the dataset, trial and bank files it wrote;
 - the sha256 of its coverage pool (every patch's points bytes, in pool
-  order) and the coverage verdicts of its two checked probes;
+  order), one over every pool patch's `source_pose` bytes and
+  `source_object` name, and the coverage verdicts of its two checked
+  probes;
 - one sha256 over every `is_covered` verdict of the round, with their count;
 - one sha256 over every grasp list that `detect` and `detect_baseline`
   returned in the round, each written through the CLI's grasp CSV writer;
@@ -29,7 +31,7 @@ round of `perfbench/run.py --seed N` (round seed N * 1000), and prints:
   each of which holds its own name for it.
 
 Two checkouts that print the same lines wrote byte-identical files, sampled
-bit-identical pools, judged every coverage probe alike, returned the same
+bit-identical pools at the same poses, judged every coverage probe alike, returned the same
 grasps to the CSV's printed precision, judged every executed grasp alike,
 kept the same records through the approach filter, computed the same CGR
 grids and got the same hit from every ray cast.
@@ -157,10 +159,12 @@ def main(argv=None) -> int:
         for name, path in sorted(rnd.check_inputs["paths"].items()):
             with open(path, "rb") as f:
                 print(f"{name} {hashlib.sha256(f.read()).hexdigest()}")
-    pool = hashlib.sha256()
+    pool, poses = hashlib.sha256(), hashlib.sha256()
     for patch in rnd.check_inputs["pool"]:
         pool.update(patch.points.tobytes())
+        poses.update(patch.source_pose.tobytes() + patch.source_object.encode() + b"\0")
     print(f"pool {pool.hexdigest()} ({len(rnd.check_inputs['pool'])} patches)")
+    print(f"poses {poses.hexdigest()}")
     for k, (_, covered) in enumerate(rnd.check_inputs["probes"]):
         print(f"probe{k} covered={covered}")
     covered = hashlib.sha256(bytes(verdicts)).hexdigest()

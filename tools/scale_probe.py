@@ -10,14 +10,17 @@ Rows, by their "probe" key:
   `cgr_grids` selects that path (`selected`, from `cgr._by_sections`). The
   points are the CLI-default 48x5 grid on the icospheres and on the meshes of the
   benchmark's `loop` workload, the 16x3 grid of its `scan` workload on the
-  `scan` meshes, single-section grids of 12 and 24 rays as coverage
-  sampling casts them, and grids of 16 to 64 rays that bracket the
-  crossover. Frames: 40 surface points, evenly spaced in voxel order, each
+  `scan` meshes, single-section grids of 4, 12 and 24 rays as coverage
+  sampling casts them (4 and 12 rays also on the `scan` meshes), and grids
+  of 16 to 64 rays that bracket the crossover. Frames: 40 surface points, evenly spaced in voxel order, each
   crossed with 48 spiral approach directions.
 - `ray_single`: one `ray_intersect` call, median over 200 random rays
   through the icosphere's box, in microseconds.
 - `ray_batch`: one `ray_intersect_batch` call of 20,000 such rays, best of
   3, in microseconds per ray.
+- `sample_local_geometries`: ms per call on each of criterion 10's five
+  base shapes at its sparse preset with 48 points per patch, 3,000 surface
+  samples and 4 cm grasp cells, median of 5 calls, with the patch count.
 - `min_chamfer`: ms per probe of `is_covered` at tau = 1 mm and of
   `min_chamfer` without `stop_below`, median of 3 passes over 20 probes.
   The pool is criterion 10's sparse preset (48 points per patch) over its
@@ -80,7 +83,7 @@ SCAN = CgrGridParams(n_angles=16, n_sections=3, section_depths=(0.005, 0.015, 0.
 # depth, reach to its corner
 _HALF_BOX = np.asarray(DEFAULT_BOX_DIMS) / 2.0
 COVER = {n: CgrGridParams(n_angles=n, n_sections=1, section_depths=(_HALF_BOX[2],),
-                          d_max=float(np.linalg.norm(_HALF_BOX))) for n in (12, 24)}
+                          d_max=float(np.linalg.norm(_HALF_BOX))) for n in (4, 12, 24)}
 # criterion 10's fast sampling settings and base shapes
 COVERAGE_PARAMS = sparse_params(points_per_patch=48, surface_samples=3000, grasp_point_resolution=0.04)
 COVERAGE_SHAPES = {
@@ -93,7 +96,8 @@ COVERAGE_SHAPES = {
 GRID_POINTS = [
     *((name, "48x5", DEFAULT) for name in ("ico3", "ico4", "ico5", "cube", "slim", "cyl", "cyl64")),
     *((name, "16x3", SCAN) for name in ("cube", "cyl", "cyl64", "scan_ico3")),
-    *((name, f"{n}x1", COVER[n]) for name in ("cube", "cyl", "sph") for n in (12, 24)),
+    *((name, f"{n}x1", COVER[n]) for name in ("cube", "cyl", "sph") for n in (4, 12, 24)),
+    *((name, f"{n}x1", COVER[n]) for name in ("cyl64", "scan_ico3") for n in (4, 12)),
     *((name, f"{n}x5", CgrGridParams(n_angles=n)) for name in ("cyl", "ico3", "ico4", "ico5") for n in (16, 24, 32)),
     *((name, f"{n}x5", CgrGridParams(n_angles=n)) for name in ("ico4", "ico5") for n in (40, 64)),
 ]
@@ -152,6 +156,18 @@ def probe_geometry(meshes):
         _row(probe="ray_batch", mesh=name, triangles=len(mesh), rays=len(origins), us_per_ray=1e6 * secs / len(origins))
 
 
+def probe_sampling():
+    for name, make in COVERAGE_SHAPES.items():
+        mesh = make()
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            patches = sample_local_geometries(mesh, COVERAGE_PARAMS, 0, name)
+            times.append(time.perf_counter() - t0)
+        _row(probe="sample_local_geometries", mesh=name, triangles=len(mesh), patches=len(patches),
+             ms=1e3 * float(np.median(times)))
+
+
 def probe_coverage():
     pool = [p for name, make in COVERAGE_SHAPES.items()
             for p in sample_local_geometries(make(), COVERAGE_PARAMS, 0, name)]
@@ -195,6 +211,7 @@ def main(argv=None) -> int:
     ap.add_argument("--skip-annotate", action="store_true", help="skip the minute-long CLI annotate")
     args = ap.parse_args(argv)
     probe_geometry({name: make() for name, make in MESHES.items()})
+    probe_sampling()
     probe_coverage()
     if not args.skip_annotate:
         probe_annotate()
