@@ -31,10 +31,10 @@ round of `perfbench/run.py --seed N` (round seed N * 1000), and prints:
   each of which holds its own name for it.
 
 Two checkouts that print the same lines wrote byte-identical files, sampled
-bit-identical pools at the same poses, judged every coverage probe alike, returned the same
-grasps to the CSV's printed precision, judged every executed grasp alike,
-kept the same records through the approach filter, computed the same CGR
-grids and got the same hit from every ray cast.
+bit-identical pools at the same poses, judged every coverage probe alike,
+returned the same grasps to the CSV's printed precision, judged every
+executed grasp alike, kept the same records through the approach filter,
+computed the same CGR grids and got the same hit from every ray cast.
 
 Run from the repo root:  python3 tools/file_digests.py --workload loop --seed 7
 """

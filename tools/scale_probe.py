@@ -12,8 +12,9 @@ Rows, by their "probe" key:
   benchmark's `loop` workload, the 16x3 grid of its `scan` workload on the
   `scan` meshes, single-section grids of 4, 12 and 24 rays as coverage
   sampling casts them (4 and 12 rays also on the `scan` meshes), and grids
-  of 16 to 64 rays that bracket the crossover. Frames: 40 surface points, evenly spaced in voxel order, each
-  crossed with 48 spiral approach directions.
+  of 16 to 64 rays that bracket the crossover. Frames: 40 surface points,
+  evenly spaced in voxel order, each crossed with 48 spiral approach
+  directions.
 - `ray_single`: one `ray_intersect` call, median over 200 random rays
   through the icosphere's box, in microseconds.
 - `ray_batch`: one `ray_intersect_batch` call of 20,000 such rays, best of
