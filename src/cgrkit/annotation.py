@@ -20,7 +20,9 @@ from .geometry import (
     PointCloud,
     RigidTransform,
     TriangleMesh,
+    _read_end,
     _read_exact,
+    _unit_vector,
     bin_points,
     fibonacci_sphere,
     frame_array,
@@ -54,11 +56,10 @@ class SceneInstance:
 def _table_plane(point, normal) -> tuple[np.ndarray, np.ndarray]:
     """The table's point and unit normal; both finite, the normal nonzero."""
     point = np.asarray(point, dtype=float).reshape(3)
-    n = np.asarray(normal, dtype=float).reshape(3)
-    ln = np.linalg.norm(n)
-    if not (np.isfinite(point).all() and np.isfinite(ln) and ln > 1e-12):
-        raise AnnotationError("table point and normal must be finite and the normal nonzero")
-    return point, n / ln
+    message = "table point and normal must be finite and the normal nonzero"
+    if not np.isfinite(point).all():
+        raise AnnotationError(message)
+    return point, _unit_vector(normal, AnnotationError, message)
 
 
 @dataclass
@@ -396,7 +397,13 @@ def read_dataset(path) -> CgrDataset:
             raise AnnotationError("bad magic")
         params = _unpack_params(f)
         (count,) = struct.unpack("<Q", _read_exact(f, 8, AnnotationError))
-        dtype = record_dtype(params.grid, _DATASET_TAIL)
+        try:
+            dtype = record_dtype(params.grid, _DATASET_TAIL)
+        except ValueError as exc:  # a record larger than numpy allows, which no writer wrote
+            raise AnnotationError(f"bad grid header: {exc}") from exc
         rows = np.frombuffer(_read_exact(f, count * dtype.itemsize, AnnotationError), dtype)
+        _read_end(f, AnnotationError)
+    if (rows["valid"] > 1).any():
+        raise AnnotationError("bad valid flag: not 0 or 1")
     return CgrDataset(params, frame_array(rows["R"], rows["t"]), rows["grid"].astype(float), rows["valid"] != 0,
                       rows["scene_id"].astype(np.uint32), np.full(count, -1))

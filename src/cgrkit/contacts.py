@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import orthonormal_tangents
+from .geometry import _unit_vector, _z_rotations
 
 
 # the grasp matrix G has full wrench rank when the smallest eigenvalue of
@@ -40,15 +40,9 @@ class Contact:
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float).reshape(3)
-        n = np.asarray(self.normal, dtype=float).reshape(3)
-        if not (np.isfinite(self.position).all() and np.isfinite(n).all()):
-            raise ContactError("non-finite contact position or normal")
-        ln = np.linalg.norm(n)
-        if abs(ln - 1.0) > 1e-9:
-            if ln < 1e-12:
-                raise ContactError("zero-length contact normal")
-            n = n / ln
-        self.normal = n
+        if not np.isfinite(self.position).all():
+            raise ContactError("non-finite contact position")
+        self.normal = _unit_vector(self.normal, ContactError, "non-finite or zero-length contact normal")
 
 
 @dataclass(frozen=True)
@@ -80,15 +74,16 @@ def grasp_matrix(contacts: list[Contact], torque_scale: float = TORQUE_SCALE) ->
 
 
 def friction_cone_edges(n: np.ndarray, mu: float, k: int) -> np.ndarray:
-    """k unit edge vectors of the inner linearized friction cone around n."""
+    """k unit edge vectors (..., k, 3) of the inner linearized friction cone
+    around each normal n (..., 3)."""
     if k < 3:
         raise ContactError("cone_edges must be >= 3")
-    u, v = orthonormal_tangents(n)
     n = np.asarray(n, dtype=float)
-    n = n / np.linalg.norm(n)
+    R = _z_rotations(n).reshape(n.shape[:-1] + (1, 3, 3))
+    u, v, n = R[..., 0], R[..., 1], R[..., 2]
     ang = 2 * np.pi * np.arange(k) / k
-    edges = n[None, :] + mu * (np.cos(ang)[:, None] * u[None, :] + np.sin(ang)[:, None] * v[None, :])
-    return edges / np.linalg.norm(edges, axis=1)[:, None]
+    edges = n + mu * (np.cos(ang)[:, None] * u + np.sin(ang)[:, None] * v)
+    return edges / np.linalg.norm(edges, axis=-1)[..., None]
 
 
 def _phase1_simplex(A: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
@@ -160,11 +155,8 @@ def force_closure(contacts: list[Contact], params: ForceClosureParams | None = N
     min_eig = float(eigs[0])
     rank_ok = min_eig > _RANK_EPS
     # wrench of each cone edge: columns of G E, shape (6, m*k)
-    wrench_cols = []
-    for i, c in enumerate(contacts):
-        edges = friction_cone_edges(c.normal, params.friction, params.cone_edges)
-        wrench_cols.append(G[:, 3 * i:3 * i + 3] @ edges.T)
-    W = np.hstack(wrench_cols)
+    edges = friction_cone_edges(np.array([c.normal for c in contacts]), params.friction, params.cone_edges)
+    W = np.hstack([G[:, 3 * i:3 * i + 3] @ e.T for i, e in enumerate(edges)])
     A = np.vstack([W, np.ones((1, W.shape[1]))])
     b = np.concatenate([np.zeros(6), [1.0]])
     feasible = _phase1_simplex(A, b)

@@ -29,9 +29,19 @@ class GeometryError(ValueError):
 def _read_exact(f, size: int, error: type) -> bytes:
     """The next `size` bytes of binary file `f`; raises `error("truncated
     file")` before reading when fewer remain (a corrupt count asks for more)."""
+    if size < 0:
+        raise error(f"negative read size {size}")
     if size > os.fstat(f.fileno()).st_size - f.tell():
         raise error("truncated file")
     return f.read(size)
+
+
+def _read_end(f, error: type) -> None:
+    """Raises `error` unless binary file `f` has been read to its end: bytes
+    after the last field mean a wrong count or header."""
+    extra = os.fstat(f.fileno()).st_size - f.tell()
+    if extra:
+        raise error(f"{extra} bytes after the end of the data")
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +62,8 @@ class RigidTransform:
             raise GeometryError("rotation is not orthonormal")
         if abs(np.linalg.det(R) - 1.0) > 1e-9:
             raise GeometryError("rotation determinant is not +1")
+        if not np.isfinite(t).all():
+            raise GeometryError("translation must be finite")
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
 
@@ -87,40 +99,46 @@ def rotation_z(angle: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def orthonormal_tangents(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic (u, v) with (u, v, n) right-handed orthonormal."""
-    n = np.asarray(n, dtype=float)
-    nn = np.linalg.norm(n)
-    if nn < 1e-12:
-        raise GeometryError("degenerate direction")
-    n = n / nn
-    ref = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    u = np.cross(ref, n)
-    u /= np.linalg.norm(u)
-    v = np.cross(n, u)
-    return u, v
+def _unit_vector(v, error: type, message: str) -> np.ndarray:
+    """Direction v from outside the program as a float (3,) unit vector:
+    unchanged within 1e-9 of unit length, else divided by its length.
+    Raises error(message) unless its length is finite and at least 1e-12."""
+    v = np.asarray(v, dtype=float).reshape(3)
+    ln = np.linalg.norm(v)
+    if not 1e-12 <= ln < np.inf:  # also rejects NaN
+        raise error(message)
+    return v if abs(ln - 1.0) <= 1e-9 else v / ln
 
 
-def frame_from_z(z: np.ndarray) -> np.ndarray:
-    """Rotation whose third column is z, with a deterministic in-plane choice."""
-    u, v = orthonormal_tangents(z)
-    z = np.asarray(z, dtype=float)
-    z = z / np.linalg.norm(z)
-    return np.column_stack([u, v, z])
-
-
-def point_direction_frames(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """[R | t] frames (P * D, 3, 4) at P points crossed with D approach
-    directions (frame_from_z z-axes), point-major. The D rotations are
-    computed together, each bit for bit frame_from_z's."""
-    z = np.asarray(directions, dtype=float).reshape(-1, 3)
+def _z_rotations(z: np.ndarray) -> np.ndarray:
+    """Rotations (n, 3, 3) whose third columns are the directions z (n, 3)
+    scaled to unit length, with a deterministic in-plane choice; raises on
+    a zero, NaN or infinite direction."""
+    z = np.asarray(z, dtype=float).reshape(-1, 3)
     norm = _row_norms(z)
-    if np.any(norm < 1e-12):
+    if not np.all((norm >= 1e-12) & (norm < np.inf)):
         raise GeometryError("degenerate direction")
     z = z / norm
     u = np.cross(np.where(np.abs(z[:, :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), z)
     u /= _row_norms(u)
-    rotations = np.stack([u, np.cross(z, u), z], axis=2)
+    return np.stack([u, np.cross(z, u), z], axis=2)
+
+
+def orthonormal_tangents(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic (u, v) with (u, v, n) right-handed orthonormal."""
+    R = _z_rotations(n)[0]
+    return R[:, 0], R[:, 1]
+
+
+def frame_from_z(z: np.ndarray) -> np.ndarray:
+    """Rotation whose third column is z, with a deterministic in-plane choice."""
+    return _z_rotations(z)[0]
+
+
+def point_direction_frames(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """[R | t] frames (P * D, 3, 4) at P points crossed with D approach
+    directions (frame_from_z z-axes), point-major."""
+    rotations = _z_rotations(directions)
     return frame_array(np.tile(rotations, (len(points), 1, 1)), np.repeat(points, len(rotations), axis=0))
 
 
@@ -197,6 +215,7 @@ class PointCloud:
                 lens = np.linalg.norm(normals, axis=1)
                 lens[lens < 1e-12] = 1.0
                 normals = normals / lens[:, None]
+            _read_end(f, GeometryError)
             return PointCloud(pts.astype(float), normals)
 
 
@@ -839,6 +858,7 @@ def load_stl(path) -> TriangleMesh:
         _read_exact(f, 80, GeometryError)
         (n,) = struct.unpack("<I", _read_exact(f, 4, GeometryError))
         data = np.frombuffer(_read_exact(f, n * 50, GeometryError), dtype=np.uint8).reshape(n, 50)
+        _read_end(f, GeometryError)
     tris = data[:, 12:48].copy().view("<f4").reshape(n, 3, 3).astype(float)
     verts = tris.reshape(-1, 3)
     faces = np.arange(3 * n, dtype=np.int64).reshape(n, 3)

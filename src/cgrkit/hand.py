@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .contacts import Contact
-from .geometry import PointCloud, TriangleMesh, VoxelGrid, frame_array, load_mesh, voxelize_mesh
+from .geometry import PointCloud, TriangleMesh, VoxelGrid, _unit_vector, frame_array, load_mesh, voxelize_mesh
 
 # edge of the voxels that hand collision meshes are checked in
 COLLISION_VOXEL = 0.005
@@ -36,11 +36,10 @@ class FingertipRay:
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=float).reshape(3)
-        d = np.asarray(self.direction, dtype=float).reshape(3)
-        ln = np.linalg.norm(d)
-        if ln < 1e-12:
-            raise HandError("fingertip ray direction is zero")
-        self.direction = d / ln
+        if not np.isfinite(self.origin).all():
+            raise HandError("fingertip ray origin must be finite")
+        self.direction = _unit_vector(self.direction, HandError,
+                                      "fingertip ray direction must be finite and nonzero")
 
 
 @dataclass
@@ -58,11 +57,8 @@ class GraspTypeSpec:
 
     def __post_init__(self):
         for attr in ("principal_closing_axis", "approach_axis"):
-            v = np.asarray(getattr(self, attr), dtype=float).reshape(3)
-            ln = np.linalg.norm(v)
-            if ln < 1e-12:
-                raise HandError(f"{attr} is zero")
-            setattr(self, attr, v / ln)
+            setattr(self, attr, _unit_vector(getattr(self, attr), HandError,
+                                             f"{attr} must be finite and nonzero"))
         if abs(np.dot(self.principal_closing_axis, self.approach_axis)) >= 0.999:
             raise HandError("axes parallel")
         if len(self.fingertip_rays) < 2:

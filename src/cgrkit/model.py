@@ -11,12 +11,13 @@ backpropagation.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _read_exact
+from .geometry import _read_end, _read_exact
 
 MODEL_MAGIC = b"CGRKNN1\0"
 
@@ -311,11 +312,13 @@ def _read_model(f) -> ModelParams:
     dims = struct.unpack(f"<{nd}I", _read_exact(f, 4 * nd, ModelError))
     if nd < 2:
         raise ModelError(f"a model needs at least 2 layer widths, got {nd}")
+    if dims[0] < 1 or any(d != dims[1] for d in dims[2:-1]) or dims[-1] != 1:
+        raise ModelError("layer widths must be an input width >= 1, equal hidden widths and an output width of 1")
     n_layers = nd - 1
     hidden = dims[1]
 
     def read_arr(shape):
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         return np.frombuffer(_read_exact(f, 4 * count, ModelError), dtype="<f4").astype(float).reshape(shape)
 
     weights = [read_arr((dims[i], dims[i + 1])) for i in range(n_layers)]
@@ -358,4 +361,5 @@ def load_bank(path) -> DecisionBank:
         for _ in range(count):
             (type_id,) = struct.unpack("<I", _read_exact(f, 4, ModelError))
             models[type_id] = _read_model(f)
+        _read_end(f, ModelError)
         return DecisionBank(models)

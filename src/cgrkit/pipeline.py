@@ -24,7 +24,7 @@ from .annotation import (
 )
 from .cgr import best_antipodal_scores, best_grasp_poses, record_dtype
 from .contacts import ForceClosureParams, force_closure
-from .geometry import RigidTransform, _read_exact, frame_array, rotation_z
+from .geometry import RigidTransform, _read_end, _read_exact, frame_array, rotation_z
 from .hand import (
     GraspCandidate,
     HandSpec,
@@ -407,6 +407,9 @@ def read_trials(grid_params, path) -> list[TrialRecord]:
         (count,) = struct.unpack("<Q", _read_exact(f, 8, PipelineError))
         dtype = record_dtype(grid_params, _TRIAL_TAIL)
         rows = np.frombuffer(_read_exact(f, count * dtype.itemsize, PipelineError), dtype)
+        _read_end(f, PipelineError)
+    if (rows["outcome"] > 1).any():
+        raise PipelineError("bad outcome flag: not 0 or 1")
     frames, poses = frame_array(rows["R"], rows["t"]), frame_array(rows["pose_R"], rows["pose_t"])
     grids = rows["grid"].astype(float)
     tails = zip(rows["type"].tolist(), rows["outcome"].tolist(), rows["friction"].tolist())

@@ -96,6 +96,21 @@ def test_compose_scene_checks_value_counts(tmp_path, line):
         compose_scene(tmp_path / "s.scene")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("line, message", [
+    ("table 0 0 0   0 {v} 1", "table point and normal must be finite"),
+    ("table 0 0 {v}   0 0 1", "table point and normal must be finite"),
+    ("instance box 1 0 0 0   0 {v} 0.025", "translation must be finite"),
+], ids=["table-normal", "table-point", "instance-translation"])
+def test_compose_scene_rejects_non_finite_values(tmp_path, value, line, message):
+    """A NaN or infinite table value or instance translation raises with the
+    file and line, instead of a scene placed at NaN."""
+    save_obj(make_box((0.05, 0.05, 0.05)), tmp_path / "box.obj")
+    (tmp_path / "s.scene").write_text(f"mesh box box.obj\n{line.format(v=value)}\n")
+    with pytest.raises(AnnotationError, match=rf"s\.scene:2: {message}"):
+        compose_scene(tmp_path / "s.scene")
+
+
 @pytest.mark.parametrize("point, normal", [
     ((0, 0, 0), (0, 0, 0)),
     ((0, 0, 0), (0, 0, np.nan)),
@@ -584,6 +599,53 @@ def test_dataset_golden_layout(tmp_path):
     assert back.frames.dtype == np.float32 and list(back.instance) == [-1] * 3
     assert np.array_equal(back.frames, frames.astype(np.float32))
     assert list(back.valid) == list(valid) and list(back.scene_id) == [7, 7, 9]
+
+
+def _small_dataset(count=5):
+    """A dataset of `count` records on a 4 x 2 grid, every other one valid."""
+    g = CgrGridParams(n_angles=4, n_sections=2, section_depths=(0.01, 0.02))
+    rng = np.random.default_rng(6)
+    frames = np.stack([np.column_stack([frame_from_z(rng.normal(size=3)), rng.normal(size=3)]) for _ in range(count)])
+    return CgrDataset(AnnotationParams(surface_resolution=0.01, approach_directions=3, grid=g), frames,
+                      rng.uniform(0.0, 0.05, (count, 2, 4, 2)), np.arange(count) % 2 == 0,
+                      np.full(count, 3, np.uint32), np.zeros(count, int))
+
+
+def test_read_dataset_rejects_bytes_after_the_data(tmp_path):
+    """One appended byte, or a record count lowered by 3, leaves bytes after
+    the last record: the file is not what its header says."""
+    write_dataset(_small_dataset(), tmp_path / "ds.bin")
+    blob = (tmp_path / "ds.bin").read_bytes()
+    at = 8 + 16 + 4 * 2 + 16  # magic, params, then the record count
+    assert blob[at:at + 8] == np.uint64(5).tobytes()
+    for bad in (blob + b"\0", blob[:at] + np.uint64(2).tobytes() + blob[at + 8:]):
+        (tmp_path / "bad.bin").write_bytes(bad)
+        with pytest.raises(AnnotationError, match="bytes after the end of the data"):
+            read_dataset(tmp_path / "bad.bin")
+
+
+def test_read_dataset_rejects_grid_too_large_for_a_record(tmp_path):
+    """An n_angles that CgrGridParams accepts but whose record numpy cannot
+    hold (found by fuzzing: one flipped bit) raises AnnotationError, not a
+    bare ValueError."""
+    write_dataset(_small_dataset(), tmp_path / "ds.bin")
+    blob = bytearray((tmp_path / "ds.bin").read_bytes())
+    blob[8:12] = np.uint32(2**30).tobytes()
+    (tmp_path / "bad.bin").write_bytes(bytes(blob))
+    with pytest.raises(AnnotationError, match="bad grid header"):
+        read_dataset(tmp_path / "bad.bin")
+
+
+@pytest.mark.parametrize("flag", [2, 128, 255])
+def test_read_dataset_rejects_bad_valid_flag(tmp_path, flag):
+    """A valid byte other than 0 or 1 raises instead of reading as valid."""
+    write_dataset(_small_dataset(), tmp_path / "ds.bin")
+    blob = bytearray((tmp_path / "ds.bin").read_bytes())
+    assert blob[-1] == 1  # the last record's valid byte
+    blob[-1] = flag
+    (tmp_path / "bad.bin").write_bytes(bytes(blob))
+    with pytest.raises(AnnotationError, match="bad valid flag"):
+        read_dataset(tmp_path / "bad.bin")
 
 
 def test_read_dataset_bad_magic(tmp_path):

@@ -17,6 +17,7 @@ from cgrkit.contacts import (
     friction_cone_edges,
     grasp_matrix,
 )
+from cgrkit.geometry import GeometryError
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +81,22 @@ def test_cone_edges_geometry():
         # inner linearization: every edge lies exactly on the cone boundary
         cos_half = 1.0 / np.sqrt(1.0 + mu * mu)
         assert np.allclose(edges @ n, cos_half, atol=1e-12)
+
+
+def test_cone_edges_of_stacked_normals():
+    """Normals (m, 3) give (m, k, 3): each normal's edges, bit for bit; a
+    NaN, infinite or zero normal in the stack raises."""
+    rng = np.random.default_rng(21)
+    normals = rng.standard_normal((5, 3))
+    normals[1] = [0.0, 0.0, -1.0]
+    normals[2] *= 1e3
+    edges = friction_cone_edges(normals, 0.4, 7)
+    assert edges.shape == (5, 7, 3)
+    for n, e in zip(normals, edges):
+        assert e.tobytes() == friction_cone_edges(n, 0.4, 7).tobytes()
+    for bad in ([np.nan, 0.0, 1.0], [0.0, -np.inf, 0.0], [0.0, 0.0, 0.0]):
+        with pytest.raises(GeometryError, match="degenerate direction"):
+            friction_cone_edges(np.vstack([normals, bad]), 0.4, 7)
 
 
 # ---------------------------------------------------------------------------

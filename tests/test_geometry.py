@@ -140,13 +140,16 @@ def test_point_direction_frames_match_frame_from_z(dirs):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [1e-13, 0.0, 0.0]])
+@pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [1e-13, 0.0, 0.0],
+                                 [np.nan, 0.0, 1.0], [0.0, np.inf, 0.0], [-np.inf, 0.0, 1.0], [1e200, 0.0, 0.0]])
 def test_point_direction_frames_reject_degenerate_directions(bad):
     dirs = np.array([[0.0, 0.0, 1.0], bad])
     with pytest.raises(GeometryError, match="degenerate direction"):
         frame_from_z(dirs[1])
     with pytest.raises(GeometryError, match="degenerate direction"):
         point_direction_frames(np.zeros((1, 3)), dirs)
+    with pytest.raises(GeometryError, match="degenerate direction"):
+        orthonormal_tangents(dirs[1])
 
 
 def test_fibonacci_sphere_unit_and_spread():
@@ -537,6 +540,29 @@ def test_point_cloud_load_corrupt_count(tmp_path, cube):
         PointCloud.load(tmp_path / "bad.pc")
 
 
+def test_point_cloud_load_rejects_bytes_after_the_data(tmp_path):
+    """One appended byte, or a count lowered by one, leaves bytes after the
+    last field: the file is not what the count says. The last point is the
+    origin, so with the lowered count its first byte reads as the "no
+    normals" flag."""
+    points = np.random.default_rng(13).uniform(-1, 1, (50, 3))
+    points[-1] = 0.0
+    PointCloud(points).save(tmp_path / "cloud.pc")
+    blob = (tmp_path / "cloud.pc").read_bytes()
+    lowered = blob[:8] + np.uint64(49).tobytes() + blob[16:]
+    for bad in (blob + b"\0", lowered):
+        (tmp_path / "bad.pc").write_bytes(bad)
+        with pytest.raises(GeometryError, match="bytes after the end of the data"):
+            PointCloud.load(tmp_path / "bad.pc")
+
+
+def test_read_exact_rejects_negative_size(tmp_path):
+    (tmp_path / "f.bin").write_bytes(b"\0" * 8)
+    with open(tmp_path / "f.bin", "rb") as f:
+        with pytest.raises(GeometryError, match="negative read size -4"):
+            geometry._read_exact(f, -4, GeometryError)
+
+
 def test_point_cloud_load_rejects_bad_normals_flag(tmp_path, cube):
     cloud = sample_surface_points(cube, 50, seed=0)
     cloud.save(tmp_path / "cloud.pc")
@@ -831,6 +857,22 @@ def test_stl_load(tmp_path):
         (tmp_path / "cut.stl").write_bytes(blob[:cut])
         with pytest.raises(GeometryError, match="truncated file"):
             load_stl(tmp_path / "cut.stl")
+
+
+def test_stl_load_rejects_bytes_after_the_data(tmp_path):
+    """One appended byte, or a triangle count lowered by one, leaves bytes
+    after the last triangle record."""
+    import struct
+
+    record = struct.pack("<12fH", 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0)
+    blob = b"\0" * 80 + struct.pack("<I", 2) + record * 2
+    path = tmp_path / "t.stl"
+    path.write_bytes(blob)
+    assert len(load_stl(path)) == 2
+    for bad in (blob + b"\0", blob[:80] + struct.pack("<I", 1) + blob[84:]):
+        path.write_bytes(bad)
+        with pytest.raises(GeometryError, match="bytes after the end of the data"):
+            load_stl(path)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

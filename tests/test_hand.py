@@ -128,6 +128,37 @@ def test_spec_validation():
         HandSpec("h", [])
 
 
+@pytest.mark.parametrize("bad", [[np.nan, 0.0, 1.0], [0.0, np.inf, 0.0], [-np.inf, 0.0, 0.0], [0.0, 0.0, 0.0]])
+def test_spec_rejects_non_finite_and_zero_directions(bad):
+    ray = FingertipRay([0.05, 0, 0], [-1, 0, 0])
+    mesh = make_box((0.01, 0.01, 0.01))
+    with pytest.raises(HandError, match="fingertip ray direction must be finite and nonzero"):
+        FingertipRay([0.05, 0, 0], bad)
+    with pytest.raises(HandError, match="principal_closing_axis must be finite and nonzero"):
+        GraspTypeSpec(0, "x", bad, [0, 0, 1], [ray, ray], mesh, 0.1)
+    with pytest.raises(HandError, match="approach_axis must be finite and nonzero"):
+        GraspTypeSpec(0, "x", [1, 0, 0], bad, [ray, ray], mesh, 0.1)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("line, message", [
+    ("approach {v} 0 1", "approach_axis must be finite"),
+    ("closing 1 {v} 0", "principal_closing_axis must be finite"),
+    ("fingertip 0.05 0 0  -1 0 {v}", "fingertip ray direction must be finite"),
+    ("fingertip 0.05 {v} 0  -1 0 0", "fingertip ray origin must be finite"),
+], ids=["approach", "closing", "fingertip-direction", "fingertip-origin"])
+def test_parse_rejects_non_finite_values(tmp_path, value, line, message):
+    """A NaN or infinite direction or fingertip origin in a .hand file raises
+    with the file and line, instead of loading a hand whose basis is NaN."""
+    line = line.format(v=value)
+    key = line.split()[0]
+    lines = MINIMAL_HAND.splitlines()
+    lineno = next(n for n, text in enumerate(lines, 1) if text.split()[0] == key)
+    lines[lineno - 1] = line
+    with pytest.raises(HandError, match=rf"test\.hand:\d+: {message}"):
+        load_hand_spec(_write_hand(tmp_path, "\n".join(lines) + "\n"))
+
+
 @pytest.mark.parametrize("travel", [0.0, -0.1, float("nan")])
 def test_spec_rejects_non_positive_travel(travel):
     ray = FingertipRay([0.05, 0, 0], [-1, 0, 0])

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,6 +9,7 @@ from cgrkit.model import (
     BATCH_SIZE,
     DECAY_EPOCHS,
     DECAY_FACTOR,
+    MODEL_MAGIC,
     SKIP_FROM,
     SKIP_TO,
     DecisionBank,
@@ -334,6 +337,45 @@ def test_load_bank_rejects_too_few_widths(tmp_path):
         (tmp_path / "bad.bin").write_bytes(bytes(blob))
         with pytest.raises(ModelError, match="at least 2 layer widths"):
             load_bank(tmp_path / "bad.bin")
+
+
+def test_load_bank_rejects_bytes_after_the_data(tmp_path):
+    """One appended byte, or a model count lowered by one, leaves bytes
+    after the last model."""
+    save_bank(DecisionBank({i: init_model(seed=i, input_dim=6, hidden=8) for i in range(2)}), tmp_path / "b.bin")
+    blob = (tmp_path / "b.bin").read_bytes()
+    for bad in (blob + b"\0", blob[:8] + np.uint32(1).tobytes() + blob[12:]):
+        (tmp_path / "bad.bin").write_bytes(bad)
+        with pytest.raises(ModelError, match="bytes after the end of the data"):
+            load_bank(tmp_path / "bad.bin")
+
+
+def _one_model_bank(dims, floats=None):
+    """A bank file holding one model (type id 0) of the given layer widths,
+    followed by zero float32 values: by default as many as the reader takes
+    for those widths (weights, biases, then four normalization arrays of
+    width dims[1] per hidden layer)."""
+    if floats is None:
+        floats = sum(a * b + b for a, b in zip(dims, dims[1:])) + 4 * (len(dims) - 2) * dims[1]
+    return MODEL_MAGIC + struct.pack(f"<III{len(dims)}I", 1, 0, len(dims), *dims) + b"\0" * (4 * floats)
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 4, 4, 1), (0, 3, 1), (2, 3, 2)],
+                         ids=["unequal-hidden", "zero-input", "two-outputs"])
+def test_load_bank_rejects_widths_the_writer_cannot_write(tmp_path, dims):
+    """Widths that _write_model never writes raise instead of loading a model
+    that forward cannot run or save_bank cannot reproduce."""
+    (tmp_path / "b.bin").write_bytes(_one_model_bank(dims))
+    with pytest.raises(ModelError, match="layer widths must be"):
+        load_bank(tmp_path / "b.bin")
+
+
+def test_load_bank_huge_widths_are_truncated_not_overflowed(tmp_path):
+    """Widths whose product overflows int64 ask for more bytes than the file
+    holds; the size is counted in Python ints, so it never goes negative."""
+    (tmp_path / "b.bin").write_bytes(_one_model_bank((2**32 - 1, 2**32 - 1, 1), floats=64))
+    with pytest.raises(ModelError, match="truncated file"):
+        load_bank(tmp_path / "b.bin")
 
 
 def test_load_model_rejects_bank(tmp_path):

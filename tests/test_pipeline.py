@@ -517,6 +517,42 @@ def test_trials_golden_layout(tmp_path):
     assert np.array_equal(back[1].pose, trials[1].pose.astype(np.float32))
 
 
+def _small_trials(grid_params, count=4):
+    rng = np.random.default_rng(7)
+    shape = (grid_params.n_sections, grid_params.n_angles, 2)
+    return [TrialRecord(rng.normal(size=(3, 4)), rng.uniform(0, 0.05, shape), rng.normal(size=(3, 4)), k, k % 2, 0.5)
+            for k in range(count)]
+
+
+def test_read_trials_rejects_bytes_after_the_data(tmp_path):
+    """One appended byte, a count lowered by one, or grid parameters smaller
+    than the file's (16 x 3 for a file of 48 x 5 grids) leave bytes after the
+    last record read, instead of returning records that read garbage."""
+    g = CgrGridParams()
+    write_trials(_small_trials(g), g, tmp_path / "t.bin")
+    blob = (tmp_path / "t.bin").read_bytes()
+    small = CgrGridParams(n_angles=16, n_sections=3, section_depths=(0.01, 0.02, 0.03))
+    lowered = blob[:8] + np.uint64(3).tobytes() + blob[16:]
+    for bad, params in ((blob + b"\0", g), (lowered, g), (blob, small)):
+        (tmp_path / "bad.bin").write_bytes(bad)
+        with pytest.raises(PipelineError, match="bytes after the end of the data"):
+            read_trials(params, tmp_path / "bad.bin")
+
+
+@pytest.mark.parametrize("flag", [2, 128, 255])
+def test_read_trials_rejects_bad_outcome_flag(tmp_path, flag):
+    """An outcome byte other than 0 or 1 raises instead of becoming a label."""
+    g = CgrGridParams(n_angles=4, n_sections=2, section_depths=(0.01, 0.02))
+    write_trials(_small_trials(g), g, tmp_path / "t.bin")
+    blob = bytearray((tmp_path / "t.bin").read_bytes())
+    at = len(blob) - 5  # the last record's outcome byte, before its float32 friction
+    assert blob[at] == 1
+    blob[at] = flag
+    (tmp_path / "bad.bin").write_bytes(bytes(blob))
+    with pytest.raises(PipelineError, match="bad outcome flag"):
+        read_trials(g, tmp_path / "bad.bin")
+
+
 def test_read_trials_bad_magic(tmp_path):
     (tmp_path / "x.bin").write_bytes(b"BADMAGIC" + b"\0" * 16)
     with pytest.raises(PipelineError):
