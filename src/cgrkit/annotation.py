@@ -22,6 +22,7 @@ from .geometry import (
     TriangleMesh,
     _read_end,
     _read_exact,
+    _read_lines,
     _unit_vector,
     bin_points,
     fibonacci_sphere,
@@ -118,6 +119,10 @@ class Scene:
 
 def _quat_to_rotation(w, x, y, z) -> np.ndarray:
     q = np.array([w, x, y, z], dtype=float)
+    top = np.max(np.abs(q))
+    if not 0 < top < np.inf:  # also rejects NaN
+        raise AnnotationError("quaternion must be finite and nonzero")
+    q = np.ldexp(q, -np.frexp(top)[1])  # exact: the norm cannot overflow, and is otherwise unchanged
     q /= np.linalg.norm(q)
     w, x, y, z = q
     return np.array(
@@ -139,38 +144,31 @@ def compose_scene(path) -> Scene:
     base = os.path.dirname(os.path.abspath(path))
     meshes: dict = {}
     instances: list[SceneInstance] = []
-    table_point = np.zeros(3)
-    table_normal = np.array([0.0, 0.0, 1.0])
-    with open(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, *args = line.split()
-            try:
-                if key not in _SCENE_VALUES:
-                    raise AnnotationError(f"unknown directive '{key}'")
-                if len(args) != _SCENE_VALUES[key]:
-                    raise AnnotationError(f"'{key}' takes {_SCENE_VALUES[key]} values, got {len(args)}")
-                if key == "mesh":
-                    mesh_path = os.path.join(base, args[1])
-                    if not os.path.exists(mesh_path):
-                        raise AnnotationError(f"mesh file not found for '{args[0]}': {mesh_path}")
-                    meshes[args[0]] = load_mesh(mesh_path)
-                elif key == "instance":
-                    vals = [float(x) for x in args[1:]]
-                    pose = RigidTransform(_quat_to_rotation(*vals[:4]), vals[4:])
-                    if args[0] not in meshes:
-                        raise AnnotationError(f"instance references unknown mesh '{args[0]}'")
-                    instances.append(SceneInstance(args[0], pose))
-                else:
-                    vals = [float(x) for x in args]
-                    table_point = np.array(vals[:3])
-                    table_normal = np.array(vals[3:])
-                    _table_plane(table_point, table_normal)  # checked here so the error names this line
-            except ValueError as exc:  # AnnotationError and bad numbers alike
-                raise AnnotationError(f"{path}:{lineno}: {exc}") from exc
-    return Scene(instances, table_point, table_normal, meshes)
+    table = [np.zeros(3), np.array([0.0, 0.0, 1.0])]  # point, normal
+
+    def parse(line):
+        key, *args = line.split()
+        if key not in _SCENE_VALUES:
+            raise AnnotationError(f"unknown directive '{key}'")
+        if len(args) != _SCENE_VALUES[key]:
+            raise AnnotationError(f"'{key}' takes {_SCENE_VALUES[key]} values, got {len(args)}")
+        if key == "mesh":
+            mesh_path = os.path.join(base, args[1])
+            if not os.path.exists(mesh_path):
+                raise AnnotationError(f"mesh file not found for '{args[0]}': {mesh_path}")
+            meshes[args[0]] = load_mesh(mesh_path)
+        elif key == "instance":
+            vals = [float(x) for x in args[1:]]
+            pose = RigidTransform(_quat_to_rotation(*vals[:4]), vals[4:])
+            if args[0] not in meshes:
+                raise AnnotationError(f"instance references unknown mesh '{args[0]}'")
+            instances.append(SceneInstance(args[0], pose))
+        else:
+            vals = [float(x) for x in args]
+            table[:] = _table_plane(vals[:3], vals[3:])
+
+    _read_lines(path, parse, AnnotationError)
+    return Scene(instances, *table, meshes)
 
 
 @dataclass(frozen=True)

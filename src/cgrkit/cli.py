@@ -16,7 +16,7 @@ from . import bundled_hand_path
 from .annotation import AnnotationParams, annotate_scene, compose_scene, write_dataset
 from .cgr import CgrGridParams
 from .coverage import coverage_curve, dense_params, sparse_params, write_coverage_csv
-from .geometry import load_mesh
+from .geometry import GeometryError, _read_lines, load_mesh
 from .hand import load_hand_spec
 from .model import DecisionBank, TrainConfig, load_bank, save_bank, train
 from .pipeline import (
@@ -42,15 +42,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_config(path) -> dict:
-    """key value lines; '#' starts a comment."""
+    """key value lines."""
     out = {}
-    with open(path) as f:
-        for raw in f:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition(" ")
-            out[key.strip()] = value.strip()
+
+    def parse(line):
+        key, _, value = line.partition(" ")
+        out[key.strip()] = value.strip()
+
+    _read_lines(path, parse, UsageError)
     return out
 
 
@@ -89,13 +88,12 @@ def _read_mesh_list(path) -> dict:
     """Lines of '<id> <mesh path>' (paths relative to the list file)."""
     base = os.path.dirname(os.path.abspath(path))
     out = {}
-    with open(path) as f:
-        for raw in f:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            oid, _, mesh_path = line.partition(" ")
-            out[oid] = load_mesh(os.path.join(base, mesh_path.strip()))
+
+    def parse(line):
+        oid, _, mesh_path = line.partition(" ")
+        out[oid] = load_mesh(os.path.join(base, mesh_path.strip()))
+
+    _read_lines(path, parse, GeometryError)
     return out
 
 

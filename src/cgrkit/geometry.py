@@ -44,6 +44,23 @@ def _read_end(f, error: type) -> None:
         raise error(f"{extra} bytes after the end of the data")
 
 
+def _read_lines(path, parse, error: type) -> None:
+    """parse(line) for each line of UTF-8 text file `path` left nonblank by
+    stripping it and dropping everything from `#` on. A ValueError, IndexError
+    or OverflowError, decoding included, raises error("<path>:<line>: ..."),
+    which names the line's first word if Python raised it."""
+    with open(path, "rb") as f:
+        lines = f.read().splitlines()  # at \n, \r and \r\n, as text mode splits
+    for lineno, raw in enumerate(lines, 1):
+        try:
+            line = raw.decode("utf-8").split("#", 1)[0].strip()
+            if line:
+                parse(line)
+        except (ValueError, IndexError, OverflowError) as exc:
+            word = f"bad {line.split()[0]!r} line: " if type(exc) in (ValueError, IndexError, OverflowError) else ""
+            raise error(f"{path}:{lineno}: {word}{exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # Rigid transforms
 
@@ -115,7 +132,8 @@ def _z_rotations(z: np.ndarray) -> np.ndarray:
     scaled to unit length, with a deterministic in-plane choice; raises on
     a zero, NaN or infinite direction."""
     z = np.asarray(z, dtype=float).reshape(-1, 3)
-    norm = _row_norms(z)
+    with np.errstate(over="ignore"):  # a norm that overflows reads inf and is rejected
+        norm = _row_norms(z)
     if not np.all((norm >= 1e-12) & (norm < np.inf)):
         raise GeometryError("degenerate direction")
     z = z / norm
@@ -171,13 +189,14 @@ class PointCloud:
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
+        if not np.isfinite(self.points).all():
+            raise GeometryError("points must be finite")
         if self.normals is not None:
             self.normals = np.asarray(self.normals, dtype=float).reshape(-1, 3)
             if len(self.normals) != len(self.points):
                 raise GeometryError("normals/points length mismatch")
-            lens = np.linalg.norm(self.normals, axis=1)
-            if len(lens) and np.max(np.abs(lens - 1.0)) > 1e-6:
-                raise GeometryError("normals must be unit length")
+            if not np.all(np.abs(np.linalg.norm(self.normals, axis=1) - 1.0) <= 1e-6):  # also rejects NaN
+                raise GeometryError("normals must be finite and unit length")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -210,11 +229,9 @@ class PointCloud:
                 raise GeometryError(f"bad normals flag {flag!r}")
             normals = None
             if flag == b"\x01":
-                normals = np.frombuffer(_read_exact(f, 12 * n, GeometryError), dtype="<f4").reshape(n, 3)
-                normals = normals.astype(float)
-                lens = np.linalg.norm(normals, axis=1)
-                lens[lens < 1e-12] = 1.0
-                normals = normals / lens[:, None]
+                normals = np.frombuffer(_read_exact(f, 12 * n, GeometryError), dtype="<f4").reshape(n, 3).astype(float)
+                lens = np.linalg.norm(normals, axis=1)  # a zero or non-finite normal is left so, and rejected
+                normals = normals / np.where((lens < 1e-12) | (lens == np.inf), 1.0, lens)[:, None]
             _read_end(f, GeometryError)
             return PointCloud(pts.astype(float), normals)
 
@@ -826,22 +843,20 @@ def load_mesh(path) -> TriangleMesh:
 
 def load_obj(path) -> TriangleMesh:
     verts, tris = [], []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                if parts[0] == "v":
-                    if len(parts) < 4:
-                        raise ValueError("a vertex needs 3 coordinates")
-                    verts.append([float(x) for x in parts[1:4]])
-                elif parts[0] == "f":
-                    idx = [int(p.split("/")[0]) - 1 for p in parts[1:]]
-                    for k in range(1, len(idx) - 1):  # fan-triangulate
-                        tris.append([idx[0], idx[k], idx[k + 1]])
-            except ValueError as exc:
-                raise GeometryError(f"{path}:{lineno}: bad {parts[0]!r} line: {exc}") from exc
+
+    def parse(line):
+        key, *args = line.split()
+        if key == "v":
+            if len(args) < 3:
+                raise ValueError("a vertex needs 3 coordinates")
+            verts.append([float(x) for x in args[:3]])
+        elif key == "f":
+            idx = [int(p.split("/")[0]) - 1 for p in args]
+            if len(idx) > 2 and not 0 <= min(idx) <= max(idx) < 2**63:  # TriangleMesh checks the upper bound
+                raise ValueError("vertex index out of range")
+            tris.extend([idx[0], idx[k], idx[k + 1]] for k in range(1, len(idx) - 1))  # fan-triangulate
+
+    _read_lines(path, parse, GeometryError)
     return TriangleMesh(np.array(verts), np.array(tris, dtype=np.int64))
 
 

@@ -16,7 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .contacts import Contact
-from .geometry import PointCloud, TriangleMesh, VoxelGrid, _unit_vector, frame_array, load_mesh, voxelize_mesh
+from .geometry import (PointCloud, TriangleMesh, VoxelGrid, _read_lines, _unit_vector, frame_array, load_mesh,
+                       voxelize_mesh)
 
 # edge of the voxels that hand collision meshes are checked in
 COLLISION_VOXEL = 0.005
@@ -134,57 +135,41 @@ def load_hand_spec(path) -> HandSpec:
         mesh_path = os.path.join(base, block["collision_mesh"])
         if not os.path.exists(mesh_path):
             raise HandError(f"grasp_type {block['id']}: collision mesh not found: {mesh_path}")
-        return GraspTypeSpec(
-            id=block["id"],
-            name=block["name"],
-            principal_closing_axis=block["closing"],
-            approach_axis=block["approach"],
-            fingertip_rays=block.get("fingertips", []),
-            collision_mesh=load_mesh(mesh_path),
-            max_close_travel=block["max_close_travel"],
-        )
+        return GraspTypeSpec(id=block["id"], name=block["name"], principal_closing_axis=block["closing"],
+                             approach_axis=block["approach"], fingertip_rays=block["fingertips"],
+                             collision_mesh=load_mesh(mesh_path), max_close_travel=block["max_close_travel"])
 
-    with open(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            key, args = parts[0], parts[1:]
-            try:
-                if key == "name" and cur is None:
-                    hand_name = " ".join(args)
-                elif key == "grasp_type":
-                    if cur is not None:
-                        raise HandError("nested grasp_type block")
-                    cur = {"id": int(args[0]), "fingertips": []}
-                elif key == "end":
-                    if cur is None:
-                        raise HandError("'end' outside grasp_type block")
-                    types.append(finish(cur))
-                    cur = None
-                elif cur is not None:
-                    if key in _FIELD_VALUES and len(args) != _FIELD_VALUES[key]:
-                        raise HandError(f"'{key}' takes {_FIELD_VALUES[key]} values, got {len(args)}")
-                    if key == "name":
-                        cur["name"] = " ".join(args)
-                    elif key in ("approach", "closing"):
-                        cur[key] = [float(x) for x in args]
-                    elif key == "max_close_travel":
-                        cur["max_close_travel"] = float(args[0])
-                    elif key == "collision_mesh":
-                        cur["collision_mesh"] = args[0]
-                    elif key == "fingertip":
-                        vals = [float(x) for x in args]
-                        cur["fingertips"].append(FingertipRay(vals[:3], vals[3:]))
-                    else:
-                        raise HandError(f"unknown field '{key}'")
-                else:
-                    raise HandError(f"unknown directive '{key}'")
-            except (ValueError, IndexError) as exc:
-                if isinstance(exc, HandError):
-                    raise HandError(f"{path}:{lineno}: {exc}") from None
-                raise HandError(f"{path}:{lineno}: bad value for '{key}'") from exc
+    def parse(line):
+        nonlocal hand_name, cur
+        key, *args = line.split()
+        if key == "name" and cur is None:
+            hand_name = " ".join(args)
+        elif key == "grasp_type":
+            if cur is not None:
+                raise HandError("nested grasp_type block")
+            cur = {"id": int(args[0]), "fingertips": []}
+        elif key == "end":
+            if cur is None:
+                raise HandError("'end' outside grasp_type block")
+            types.append(finish(cur))
+            cur = None
+        elif cur is None:
+            raise HandError(f"unknown directive '{key}'")
+        elif key in _FIELD_VALUES and len(args) != _FIELD_VALUES[key]:
+            raise HandError(f"'{key}' takes {_FIELD_VALUES[key]} values, got {len(args)}")
+        elif key in ("name", "collision_mesh"):  # a collision_mesh path is one word
+            cur[key] = " ".join(args)
+        elif key in ("approach", "closing"):
+            cur[key] = [float(x) for x in args]
+        elif key == "max_close_travel":
+            cur["max_close_travel"] = float(args[0])
+        elif key == "fingertip":
+            vals = [float(x) for x in args]
+            cur["fingertips"].append(FingertipRay(vals[:3], vals[3:]))
+        else:
+            raise HandError(f"unknown field '{key}'")
+
+    _read_lines(path, parse, HandError)
     if cur is not None:
         raise HandError("unterminated grasp_type block")
     return HandSpec(name=hand_name or os.path.basename(path), grasp_types=types)

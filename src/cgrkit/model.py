@@ -360,6 +360,8 @@ def load_bank(path) -> DecisionBank:
         models = {}
         for _ in range(count):
             (type_id,) = struct.unpack("<I", _read_exact(f, 4, ModelError))
+            if type_id in models:
+                raise ModelError(f"repeated grasp type id {type_id}")
             models[type_id] = _read_model(f)
         _read_end(f, ModelError)
         return DecisionBank(models)

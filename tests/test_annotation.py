@@ -49,6 +49,46 @@ def test_quat_to_rotation():
     assert np.allclose(_quat_to_rotation(half, 0, 0, half), rotation_z(np.pi / 2), atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e300, 1e-300, 4.0])
+def test_quat_to_rotation_of_any_finite_length(scale):
+    """A quaternion whose norm would overflow or underflow is the rotation
+    of its direction: here 90 degrees about x."""
+    want = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+    assert np.allclose(_quat_to_rotation(scale, scale, 0, 0), want, atol=1e-15)
+    assert np.allclose(_quat_to_rotation(1, 1, 0, 0), want, atol=1e-15)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.lists(st.floats(-1e3, 1e3, allow_subnormal=False), min_size=4, max_size=4).filter(
+    lambda q: np.linalg.norm(q) > 1e-3))
+def test_quat_to_rotation_is_unchanged_on_ordinary_quaternions(q):
+    """The power-of-two scale leaves a quaternion of moderate size bit for
+    bit as dividing by its norm alone gives it."""
+    w, x, y, z = np.array(q) / np.linalg.norm(q)
+    want = [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]
+    assert _quat_to_rotation(*q).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("q", ["0 0 0 0", "nan 1 0 0", "1 inf 0 0", "1 0 -1e999 0"])
+def test_compose_scene_rejects_zero_and_non_finite_quaternions(tmp_path, q):
+    save_obj(make_box((0.05, 0.05, 0.05)), tmp_path / "box.obj")
+    (tmp_path / "s.scene").write_text(f"mesh box box.obj\ninstance box {q}   0 0 0.025\n")
+    with pytest.raises(AnnotationError, match=r"s\.scene:2: quaternion must be finite and nonzero"):
+        compose_scene(tmp_path / "s.scene")
+
+
+def test_compose_scene_reads_a_huge_quaternion(tmp_path):
+    save_obj(make_box((0.05, 0.05, 0.05)), tmp_path / "box.obj")
+    (tmp_path / "s.scene").write_text("mesh box box.obj\ninstance box 1e300 1e300 0 0   0 0 0.025\n")
+    pose = compose_scene(tmp_path / "s.scene").instances[0].pose
+    assert np.allclose(pose.rotation, _quat_to_rotation(1, 1, 0, 0), atol=1e-15)
+    assert np.allclose(pose.rotation @ [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], atol=1e-15)
+
+
 def test_compose_scene_roundtrip(tmp_path):
     save_obj(make_box((0.05, 0.05, 0.05)), tmp_path / "box.obj")
     (tmp_path / "s.scene").write_text(

@@ -142,6 +142,7 @@ def test_point_direction_frames_match_frame_from_z(dirs):
 
 @pytest.mark.parametrize("bad", [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [1e-13, 0.0, 0.0],
                                  [np.nan, 0.0, 1.0], [0.0, np.inf, 0.0], [-np.inf, 0.0, 1.0], [1e200, 0.0, 0.0]])
+@pytest.mark.filterwarnings("error")
 def test_point_direction_frames_reject_degenerate_directions(bad):
     dirs = np.array([[0.0, 0.0, 1.0], bad])
     with pytest.raises(GeometryError, match="degenerate direction"):
@@ -572,6 +573,28 @@ def test_point_cloud_load_rejects_bad_normals_flag(tmp_path, cube):
     (tmp_path / "bad.pc").write_bytes(bytes(blob))
     with pytest.raises(GeometryError, match="bad normals flag"):
         PointCloud.load(tmp_path / "bad.pc")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("index, value", [(0, np.nan), (1, np.inf), (5, -np.inf)])
+def test_point_cloud_rejects_non_finite_values(tmp_path, cube, index, value):
+    """A NaN or infinite point or normal raises, at construction and at load,
+    where an infinite normal used to turn into NaN."""
+    cloud = sample_surface_points(cube, 4, seed=0)
+    points, normals = cloud.points.copy(), cloud.normals.copy()
+    points.flat[index], normals.flat[index] = value, value
+    with pytest.raises(GeometryError, match="points must be finite"):
+        PointCloud(points)
+    with pytest.raises(GeometryError, match="normals must be finite and unit length"):
+        PointCloud(cloud.points, normals)
+    cloud.save(tmp_path / "cloud.pc")
+    blob = bytearray((tmp_path / "cloud.pc").read_bytes())
+    for start in (16, 17 + 12 * len(cloud)):  # the points, then the normals
+        bad = blob.copy()
+        bad[start + 4 * index:start + 4 * index + 4] = np.float32(value).tobytes()
+        (tmp_path / "bad.pc").write_bytes(bytes(bad))
+        with pytest.raises(GeometryError, match="must be finite"):
+            PointCloud.load(tmp_path / "bad.pc")
 
 
 @pytest.mark.parametrize("line", ["v 0 1", "v 0 x 1", "f 1 2 y"])
