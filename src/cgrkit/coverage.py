@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from itertools import groupby
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .cgr import CgrGridParams, _antipodal, cgr_grids
 from .geometry import (
@@ -215,6 +214,8 @@ def _cascade(
     patches whose bounds 1 and 2 stay below cutoff plus the slack, the bounds
     (bound 2 only where bound 1 passed), the exact chamfers of those patches
     and the slack."""
+    from scipy.spatial.distance import cdist  # imported here so that `import cgrkit` loads no scipy
+
     q = test_patch.points
     k, P = points.shape[:2]
     slack = _BOUND_SLACK * max(1.0, np.abs(boxes).max(), np.abs(test_patch.bounds).max())

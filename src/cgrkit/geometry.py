@@ -12,8 +12,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import binary_fill_holes
-from scipy.spatial import cKDTree
 
 _EPS = 1e-12
 RAY_T_MIN = 1e-9
@@ -121,7 +119,8 @@ def _unit_vector(v, error: type, message: str) -> np.ndarray:
     unchanged within 1e-9 of unit length, else divided by its length.
     Raises error(message) unless its length is finite and at least 1e-12."""
     v = np.asarray(v, dtype=float).reshape(3)
-    ln = np.linalg.norm(v)
+    with np.errstate(over="ignore"):  # a norm that overflows reads inf and is rejected
+        ln = np.linalg.norm(v)
     if not 1e-12 <= ln < np.inf:  # also rejects NaN
         raise error(message)
     return v if abs(ln - 1.0) <= 1e-9 else v / ln
@@ -240,6 +239,8 @@ def chamfer_distance(a: PointCloud, b: PointCloud) -> float:
     """Symmetric chamfer: mean of the two directed mean-NN distances."""
     if len(a) == 0 or len(b) == 0:
         raise GeometryError("empty cloud")
+    from scipy.spatial import cKDTree  # imported here so that `import cgrkit` loads no scipy
+
     da, _ = cKDTree(b.points).query(a.points)
     db, _ = cKDTree(a.points).query(b.points)
     return 0.5 * (float(np.mean(da)) + float(np.mean(db)))
@@ -267,9 +268,12 @@ class TriangleMesh:
         # first corner and edge vectors of every triangle, for ray casting
         corners = self.vertices[self.triangles]
         self._v0 = corners[:, 0]
-        self._e1, self._e2 = corners[:, 1] - self._v0, corners[:, 2] - self._v0
-        n = np.cross(self._e1, self._e2)
-        lens = np.linalg.norm(n, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or nan and is rejected
+            self._e1, self._e2 = corners[:, 1] - self._v0, corners[:, 2] - self._v0
+            n = np.cross(self._e1, self._e2)
+            lens = np.linalg.norm(n, axis=1)
+        if not np.isfinite(lens).all():
+            raise GeometryError("mesh face too large: its area overflows")
         self.normals = n / np.where(lens > _EPS, lens, 1.0)[:, None]
         for a in (self.vertices, self.triangles, self.normals, self._v0, self._e1, self._e2):
             a.setflags(write=False)
@@ -670,10 +674,28 @@ class VoxelGrid:
 
     def filled(self) -> "VoxelGrid":
         """Solid occupancy: free cells not 6-connected to the outside through
-        free space are marked occupied."""
-        return VoxelGrid(
-            self.origin.copy(), self.voxel_size, binary_fill_holes(self.mask), self.offset.copy()
-        )
+        free space are marked occupied, as scipy.ndimage.binary_fill_holes
+        marks them. The outside starts as a free ring around the block and
+        grows by one 6-step through free cells per pass until a pass adds
+        nothing: one pass more than the longest such walk from the ring, so
+        at most the block's free cells + 1, which a spiral corridor nears."""
+        ring = np.pad(~self.mask, 1, constant_values=True)
+        outside = ring.copy()
+        outside[1:-1, 1:-1, 1:-1] = False
+        # flat shifts by the axis strides (a bool cell is one byte) pair
+        # 6-neighbours; where one wraps around an axis, both cells are ring
+        free, outside = ring.ravel(), outside.ravel()
+        while True:
+            grown = outside.copy()
+            for s in ring.strides:
+                grown[s:] |= outside[:-s]
+                grown[:-s] |= outside[s:]
+            grown &= free
+            if np.array_equal(grown, outside):
+                break
+            outside = grown
+        solid = ~outside.reshape(ring.shape)[1:-1, 1:-1, 1:-1]
+        return VoxelGrid(self.origin.copy(), self.voxel_size, solid, self.offset.copy())
 
 
 def voxelize_mesh(mesh: TriangleMesh, voxel_size: float) -> VoxelGrid:

@@ -1,8 +1,13 @@
 import csv
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cgrkit
 from cgrkit.annotation import AnnotationParams, annotate_scene, compose_scene, read_dataset, write_dataset
 from cgrkit.cgr import CgrGridParams
 from cgrkit.cli import _read_config, cli
@@ -34,6 +39,29 @@ def work(tmp_path_factory):
 
 
 FAST = ["--resolution", "0.0125", "--dirs", "12"]
+
+# run in a fresh interpreter: the scipy modules loaded by `import cgrkit`,
+# then by parsing `annotate --help`, and whether the help was printed
+_NO_SCIPY = """
+import contextlib, io, json, sys
+scipy = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import cgrkit
+loaded = [scipy()]
+from cgrkit.cli import cli
+with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.suppress(SystemExit):
+    cli(["annotate", "--help"])
+print(json.dumps([*loaded, scipy(), "--scene" in out.getvalue()]))
+"""
+
+
+def test_import_and_annotate_help_load_no_scipy():
+    """scipy is imported only inside coverage's cascade and chamfer_distance,
+    so importing the library or running a command that does neither loads
+    none of it."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cgrkit.__file__)))
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY], env=env, capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert json.loads(done.stdout) == [[], [], True]
 
 
 # ---------------------------------------------------------------------------

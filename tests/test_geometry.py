@@ -1,9 +1,12 @@
 import os
+import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import binary_fill_holes
 
 from cgrkit import bundled_hand_path, geometry
 from cgrkit.geometry import (
@@ -646,6 +649,78 @@ def test_voxel_grid_filled_marks_interior():
     assert not solid.contains_points(np.array([[0.04, 0.0, 0.0]])).any()
 
 
+@st.composite
+def _fill_masks(draw):
+    """Occupancy blocks for VoxelGrid.filled: random cells; a closed box shell
+    around a cavity of random cells; the same shell with a straight tunnel
+    into it from one face of the block; one-cell, empty and all-occupied."""
+    kind = draw(st.sampled_from(["random", "shell", "tunnel", "edge"]))
+    if kind == "edge":
+        shape = draw(st.sampled_from([(1, 1, 1), (0, 0, 0), (0, 4, 2), (3, 1, 5), (6, 5, 4)]))
+        return np.full(shape, draw(st.booleans()))
+    shape = draw(st.tuples(*[st.integers(1, 9)] * 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random(shape) < draw(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]))
+    if kind == "random":
+        return mask
+    lo = [draw(st.integers(0, max(0, n - 3))) for n in shape]
+    hi = [draw(st.integers(min(a + 2, n - 1), n - 1)) for a, n in zip(lo, shape)]
+    box = mask[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1, lo[2]:hi[2] + 1]
+    cavity = box[1:-1, 1:-1, 1:-1].copy()
+    box[...] = True
+    box[1:-1, 1:-1, 1:-1] = cavity
+    if kind == "tunnel":
+        axis, depth = draw(st.integers(0, 2)), draw(st.integers(1, 9))
+        at = [draw(st.integers(a, b)) for a, b in zip(lo, hi)]
+        at[axis] = slice(0, depth) if draw(st.booleans()) else slice(-depth, None)
+        mask[tuple(at)] = False
+    return mask
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(_fill_masks())
+def test_voxel_grid_filled_matches_binary_fill_holes(mask):
+    grid = VoxelGrid(np.full(3, 0.5), 0.01, mask, (2, -1, 0))
+    solid = grid.filled()
+    assert solid.mask.shape == mask.shape
+    assert np.array_equal(solid.mask, binary_fill_holes(mask))
+    assert np.array_equal(solid.origin, grid.origin) and np.array_equal(solid.offset, grid.offset)
+
+
+def _spiral_layer(n: int) -> np.ndarray:
+    """Free cells of an n x n layer: one corridor, a cell wide, from (1, 0)
+    on the layer's edge winding in to the middle between walls a cell thick;
+    its walk from the edge is about n * n / 2 cells long and never branches."""
+    free = np.zeros((n, n), dtype=bool)
+    free[1, 0] = True
+    top, left, bottom, right = 1, 1, n - 2, n - 2
+    while top <= bottom and left <= right:
+        free[top, left - 2 * (top > 1):right + 1] = True
+        free[top:bottom + 1, right] = True
+        free[bottom, left:right + 1] = True
+        free[top + 2:bottom + 1, left] = True
+        top, left, bottom, right = top + 2, left + 2, bottom - 2, right - 2
+    return free
+
+
+@pytest.mark.parametrize("entrance", ["open", "closed"])
+def test_voxel_grid_filled_spiral_corridor(entrance):
+    """A spiral corridor walled above and below takes the fill one pass per
+    cell of its walk (800 on a 41 x 41 layer, about 10 ms); an open corridor
+    stays free, a closed one is filled to its end."""
+    free = _spiral_layer(41)
+    assert free.sum() == 800
+    mask = np.ones((41, 41, 3), dtype=bool)
+    mask[:, :, 1] = ~free
+    mask[1, 0, 1] = entrance == "closed"
+    t0 = time.perf_counter()
+    solid = VoxelGrid(np.zeros(3), 0.01, mask).filled().mask
+    elapsed = time.perf_counter() - t0
+    assert np.array_equal(solid, binary_fill_holes(mask))
+    assert solid.all() if entrance == "closed" else np.array_equal(solid, mask)
+    assert elapsed < 1.0, f"spiral fill took {elapsed:.3f} s"
+
+
 def test_voxelize_conservative_against_sampled_surface(sphere):
     grid = voxelize_mesh(sphere, 0.004)
     cloud = sample_surface_points(sphere, 5000, seed=0)
@@ -916,6 +991,23 @@ def test_mesh_rejects_non_finite_vertices(tmp_path, bad):
     (tmp_path / "t.stl").write_bytes(b"\0" * 80 + struct.pack("<I", 1) + record)
     with pytest.raises(GeometryError, match="finite"):
         load_stl(tmp_path / "t.stl")
+
+
+@pytest.mark.parametrize("big", [1e100, 1e200, 1.7e308])
+def test_mesh_rejects_a_face_whose_area_overflows(tmp_path, big):
+    """A finite vertex so far out that a face's edges, their cross product or
+    its length overflow raises, without a warning, instead of giving a NaN
+    normal and an infinite area; a small face far out stays valid."""
+    corners = [[-big, 0.0, 0.0], [big, 0.0, 0.0], [0.0, big, 0.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GeometryError, match="overflows"):
+            TriangleMesh(corners, [[0, 1, 2]])
+        (tmp_path / "t.obj").write_text("".join(f"v {x!r} {y!r} {z!r}\n" for x, y, z in corners) + "f 1 2 3\n")
+        with pytest.raises(GeometryError, match="overflows"):
+            load_obj(tmp_path / "t.obj")
+        far = TriangleMesh([[big, 0.0, 0.0], [big, 1.0, 0.0], [big, 0.0, 1.0]], [[0, 1, 2]])
+    assert far.triangle_areas()[0] == 0.5 and np.array_equal(far.normals[0], [1.0, 0.0, 0.0])
 
 
 def test_mesh_normals_outward(cube):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.ndimage import binary_fill_holes
 
 from cgrkit import bundled_hand_path
 from cgrkit.cgr import antipodal_rep, best_grasp_poses, compute_cgr, query_grasp_pose
@@ -12,8 +13,10 @@ from cgrkit.geometry import (
     merge_meshes,
     rotation_z,
     save_obj,
+    voxelize_mesh,
 )
 from cgrkit.hand import (
+    COLLISION_VOXEL,
     FingertipRay,
     GraspCandidate,
     GraspTypeSpec,
@@ -267,6 +270,14 @@ def test_collision_grid_belongs_to_its_spec(hand3):
         answers.append(hand_scene_collision(cand, gt, probe))
         del gt, mesh
     assert answers == [True, False] * 3
+
+
+@pytest.mark.parametrize("name", ["archetype3", "archetype4", "archetype5"])
+def test_collision_grids_match_binary_fill_holes(name):
+    """Every bundled grasp type's solid grid is the scipy fill of its surface grid."""
+    for gt in load_hand_spec(bundled_hand_path(name)).grasp_types:
+        surface = voxelize_mesh(gt.collision_mesh, COLLISION_VOXEL).mask
+        assert np.array_equal(gt.collision_grid.mask, binary_fill_holes(surface))
 
 
 def test_batched_collision_matches_per_pose(hand3):

@@ -6,7 +6,7 @@ or raise only that error: never struct.error, IndexError, OverflowError or a
 bare ValueError.
 
 Text formats (.obj, .scene, .hand): every prefix, deleted and duplicated
-tokens and nan, inf, 1e999 or 30-digit integers in any field must load or
+tokens and nan, inf, 1e999, 1e200 or 30-digit integers in any field must load or
 raise only the module error, without a warning; one byte that is not UTF-8
 raises the module error naming the file and line."""
 
@@ -152,7 +152,7 @@ TEXT_FILES = {
 TEXT_READERS = {"obj": (load_obj, GeometryError), "scene": (compose_scene, AnnotationError),
                 "hand": (load_hand_spec, HandError)}
 # values put into a field: each is a number to float() and only some to int()
-ODD_VALUES = ["nan", "-nan", "inf", "-inf", "1e999", "-1e999", "9" * 30, "-" + "9" * 30]
+ODD_VALUES = ["nan", "-nan", "inf", "-inf", "1e999", "-1e999", "1e200", "-1e200", "9" * 30, "-" + "9" * 30]
 
 
 @pytest.fixture(scope="module")

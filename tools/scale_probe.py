@@ -3,6 +3,9 @@ paper-density annotation takes; print one JSON row per measurement.
 
 Rows, by their "probe" key:
 
+- `import`: in a fresh interpreter that has imported numpy, the time of
+  `import cgrkit` and then of `import scipy.spatial`, median of 5 child
+  processes each, and the scipy modules that `import cgrkit` loaded.
 - `voxelize`: `voxelize_mesh` at 5 mm on icospheres of radius 4 cm with
   1,280, 5,120 and 20,480 triangles, median of 5 calls.
 - `cgr_grids`: rays/s of each query of `cgr_grids` (`path` "sections" or
@@ -35,7 +38,7 @@ Rows, by their "probe" key:
 BLAS runs on one thread, as in the benchmark. Timings swing from run to run
 on a shared machine, so compare two checkouts in alternating runs.
 
-Run from the repo root:  python3 tools/scale_probe.py [--skip-annotate]
+Run from the repo root:  python3 tools/scale_probe.py [--skip-annotate] [--probe NAME]...
 """
 
 import argparse
@@ -123,6 +126,26 @@ def _best(fn, repeats=3):
     return best
 
 
+_IMPORT = """
+import json, sys, time
+import numpy
+t0 = time.perf_counter()
+import cgrkit
+t1 = time.perf_counter()
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import scipy.spatial
+print(json.dumps([t1 - t0, time.perf_counter() - t1, loaded]))
+"""
+
+
+def probe_import(runs=5):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = [json.loads(subprocess.run([sys.executable, "-c", _IMPORT], env=env, capture_output=True,
+                                      text=True, check=True).stdout) for _ in range(runs)]
+    _row(probe="import", runs=runs, cgrkit_s=float(np.median([d[0] for d in done])),
+         scipy_spatial_s=float(np.median([d[1] for d in done])), scipy_modules=done[0][2])
+
+
 def probe_geometry(meshes):
     for name in ICOSPHERES:
         mesh = meshes[name]
@@ -207,15 +230,23 @@ def probe_annotate():
          out=done.stdout.split(" -> ")[0].strip())
 
 
+PROBES = {
+    "import": probe_import,
+    "geometry": lambda: probe_geometry({name: make() for name, make in MESHES.items()}),
+    "sampling": probe_sampling,
+    "coverage": probe_coverage,
+    "annotate": probe_annotate,
+}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--skip-annotate", action="store_true", help="skip the minute-long CLI annotate")
+    ap.add_argument("--probe", action="append", choices=PROBES, help="run only this probe (repeatable)")
     args = ap.parse_args(argv)
-    probe_geometry({name: make() for name, make in MESHES.items()})
-    probe_sampling()
-    probe_coverage()
-    if not args.skip_annotate:
-        probe_annotate()
+    for name in args.probe or PROBES:
+        if not (name == "annotate" and args.skip_annotate):
+            PROBES[name]()
     return 0
 
 
