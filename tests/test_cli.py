@@ -44,13 +44,13 @@ FAST = ["--resolution", "0.0125", "--dirs", "12"]
 # then by parsing `annotate --help`, and whether the help was printed
 _NO_SCIPY = """
 import contextlib, io, json, sys
-scipy = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+scipy_modules = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 import cgrkit
-loaded = [scipy()]
+loaded = [scipy_modules()]
 from cgrkit.cli import cli
 with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.suppress(SystemExit):
     cli(["annotate", "--help"])
-print(json.dumps([*loaded, scipy(), "--scene" in out.getvalue()]))
+print(json.dumps([*loaded, scipy_modules(), "--scene" in out.getvalue()]))
 """
 
 

@@ -6,9 +6,9 @@ or raise only that error: never struct.error, IndexError, OverflowError or a
 bare ValueError.
 
 Text formats (.obj, .scene, .hand): every prefix, deleted and duplicated
-tokens and nan, inf, 1e999, 1e200 or 30-digit integers in any field must load or
-raise only the module error, without a warning; one byte that is not UTF-8
-raises the module error naming the file and line."""
+tokens and nan, inf, 1e999, 1e200 or 30-digit integers in any field must
+load or raise only the module error, without a warning; one byte that is not
+UTF-8 raises the module error naming the file and line."""
 
 import struct
 import warnings
