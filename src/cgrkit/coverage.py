@@ -215,7 +215,6 @@ def _cascade(
     (bound 2 only where bound 1 passed), the exact chamfers of those patches
     and the slack."""
     from scipy.spatial.distance import cdist  # imported here so that `import cgrkit` loads no scipy
-
     q = test_patch.points
     k, P = points.shape[:2]
     slack = _BOUND_SLACK * max(1.0, np.abs(boxes).max(), np.abs(test_patch.bounds).max())

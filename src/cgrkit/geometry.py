@@ -240,7 +240,6 @@ def chamfer_distance(a: PointCloud, b: PointCloud) -> float:
     if len(a) == 0 or len(b) == 0:
         raise GeometryError("empty cloud")
     from scipy.spatial import cKDTree  # imported here so that `import cgrkit` loads no scipy
-
     da, _ = cKDTree(b.points).query(a.points)
     db, _ = cKDTree(a.points).query(b.points)
     return 0.5 * (float(np.mean(da)) + float(np.mean(db)))
@@ -675,27 +674,22 @@ class VoxelGrid:
     def filled(self) -> "VoxelGrid":
         """Solid occupancy: free cells not 6-connected to the outside through
         free space are marked occupied, as scipy.ndimage.binary_fill_holes
-        marks them. The outside starts as a free ring around the block and
-        grows by one 6-step through free cells per pass until a pass adds
-        nothing: one pass more than the longest such walk from the ring, so
-        at most the block's free cells + 1, which a spiral corridor nears."""
-        ring = np.pad(~self.mask, 1, constant_values=True)
-        outside = ring.copy()
+        marks them. The outside grows from a free ring around the block by one
+        6-step through free cells per pass until a pass adds nothing: at most
+        the block's free cells + 1 passes, which a spiral corridor nears."""
+        free = np.pad(~self.mask, 1, constant_values=True)
+        outside, last = free.copy(), None
         outside[1:-1, 1:-1, 1:-1] = False
-        # flat shifts by the axis strides (a bool cell is one byte) pair
-        # 6-neighbours; where one wraps around an axis, both cells are ring
-        free, outside = ring.ravel(), outside.ravel()
-        while True:
-            grown = outside.copy()
-            for s in ring.strides:
-                grown[s:] |= outside[:-s]
-                grown[:-s] |= outside[s:]
-            grown &= free
-            if np.array_equal(grown, outside):
-                break
-            outside = grown
-        solid = ~outside.reshape(ring.shape)[1:-1, 1:-1, 1:-1]
-        return VoxelGrid(self.origin.copy(), self.voxel_size, solid, self.offset.copy())
+        while not np.array_equal(outside, last):
+            last, outside = outside, outside.copy()
+            outside[1:] |= last[:-1]
+            outside[:-1] |= last[1:]
+            outside[:, 1:] |= last[:, :-1]
+            outside[:, :-1] |= last[:, 1:]
+            outside[:, :, 1:] |= last[:, :, :-1]
+            outside[:, :, :-1] |= last[:, :, 1:]
+            outside &= free
+        return VoxelGrid(self.origin.copy(), self.voxel_size, ~outside[1:-1, 1:-1, 1:-1], self.offset.copy())
 
 
 def voxelize_mesh(mesh: TriangleMesh, voxel_size: float) -> VoxelGrid:

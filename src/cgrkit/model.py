@@ -152,14 +152,13 @@ def loss(predictions: np.ndarray, labels: np.ndarray) -> float:
 def gradients(model: ModelParams, x: np.ndarray, y: np.ndarray, training: bool = True):
     """Analytic gradients of the batch loss for every trainable parameter.
 
-    Outside the loss's clamp on p, where the clamped loss is flat, they take
-    the cross-entropy derivative at the clamp times the sigmoid's slope, as
-    if the clamp were absent, so that confidently wrong predictions stay
-    trainable; test_gradients_pass_the_loss_clamp pins this.
-
     Returns (loss_value, grads dict keyed like flat_parameters()). In
     training mode the dict also holds each normalized layer's batch mean and
-    variance as mean{i} and var{i}, for `train`'s running statistics.
+    variance as mean{i} and var{i}, for `train`'s running statistics. Outside
+    the loss's clamp on p, where the clamped loss is flat, the gradients take
+    the cross-entropy derivative at the clamp times the sigmoid's slope, as if
+    the clamp were absent, so that confidently wrong predictions stay
+    trainable; test_gradients_pass_the_loss_clamp pins this.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).reshape(-1)

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import binary_fill_holes
 
@@ -677,9 +677,21 @@ def _fill_masks(draw):
     return mask
 
 
+# memory layouts of one mask: C order, Fortran order (as the transpose of a
+# C-order block has), first two axes swapped in memory, and a strided view
+_LAYOUTS = {
+    "c": np.ascontiguousarray,
+    "fortran": np.asfortranarray,
+    "swapped": lambda m: np.ascontiguousarray(m.transpose(1, 0, 2)).transpose(1, 0, 2),
+    "strided": lambda m: np.repeat(m, 2, axis=1)[:, ::2],
+}
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
-@given(_fill_masks())
-def test_voxel_grid_filled_matches_binary_fill_holes(mask):
+@given(_fill_masks(), st.sampled_from(sorted(_LAYOUTS)))
+@example(np.arange(60).reshape(3, 4, 5) != 32, "fortran")  # one enclosed cell, at (1, 2, 2)
+def test_voxel_grid_filled_matches_binary_fill_holes(mask, layout):
+    mask = _LAYOUTS[layout](mask)
     grid = VoxelGrid(np.full(3, 0.5), 0.01, mask, (2, -1, 0))
     solid = grid.filled()
     assert solid.mask.shape == mask.shape

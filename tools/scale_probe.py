@@ -38,7 +38,7 @@ Rows, by their "probe" key:
 BLAS runs on one thread, as in the benchmark. Timings swing from run to run
 on a shared machine, so compare two checkouts in alternating runs.
 
-Run from the repo root:  python3 tools/scale_probe.py [--skip-annotate] [--probe NAME]...
+Run from the repo root:  python3 tools/scale_probe.py [--probe NAME]...
 """
 
 import argparse
@@ -241,12 +241,11 @@ PROBES = {
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--skip-annotate", action="store_true", help="skip the minute-long CLI annotate")
-    ap.add_argument("--probe", action="append", choices=PROBES, help="run only this probe (repeatable)")
+    ap.add_argument("--probe", action="append", choices=PROBES,
+                    help="run only this probe (repeatable; default all, the CLI annotate taking a minute)")
     args = ap.parse_args(argv)
     for name in args.probe or PROBES:
-        if not (name == "annotate" and args.skip_annotate):
-            PROBES[name]()
+        PROBES[name]()
     return 0
 
 
