@@ -323,6 +323,30 @@ def test_min_chamfer_matches_reference_on_generated_pools(case):
                 assert got == want if want < stop else got >= stop
 
 
+def _dense_min_chamfer(probe, pool):
+    """Smallest symmetric chamfer over the pool, each from the full matrix of
+    point-pair distances by numpy broadcasting: no KD-tree and no cdist."""
+    best = np.inf
+    for patch in pool:
+        d = np.sqrt(((probe.points[:, None, :] - patch.points[None, :, :]) ** 2).sum(axis=-1))
+        best = min(best, 0.5 * (float(d.min(axis=1).mean()) + float(d.min(axis=0).mean())))
+    return best
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_generated_pools())
+def test_min_chamfer_matches_dense_all_pairs(case):
+    """A second oracle, independent of the KD-tree and of cdist: within the
+    1e-12 of test_min_chamfer_matches_bruteforce of the dense all-pairs
+    chamfer; with stop_below, below it exactly when that chamfer is."""
+    probe, pool = case
+    want = _dense_min_chamfer(probe, pool)
+    assert abs(min_chamfer(probe, pool) - want) <= 1e-12
+    for stop in (1e-9, 1e-4, 0.001, 0.01):
+        if abs(want - stop) > 1e-12:
+            assert (min_chamfer(probe, pool, stop_below=stop) < stop) == (want < stop)
+
+
 # ---------------------------------------------------------------------------
 # Coverage curves
 

@@ -1,5 +1,9 @@
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.ndimage import binary_fill_holes
 
 from cgrkit import bundled_hand_path
@@ -305,6 +309,54 @@ def test_batched_collision_matches_per_pose(hand3):
             assert got.tolist() == want
             assert got.any() == (len(points) > 0) and not got[3:].all()
         assert hand_scene_collisions(poses[:0], gt, PointCloud(faces)).shape == (0,)
+
+
+@cache
+def _bundled_hand(name):
+    return load_hand_spec(bundled_hand_path(name))
+
+
+@st.composite
+def _collision_batches(draw):
+    """(grasp type, poses, points, slice): 1-40 poses of a bundled grasp
+    type near its palm, each exact (face points stay on voxel faces) or
+    random; no points, 1-300 points scattered about the palm or every corner
+    of its voxel lattice; and a slice [a, b) of the poses."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grasp_types = _bundled_hand(draw(st.sampled_from(["archetype3", "archetype4", "archetype5"]))).grasp_types
+    gt = grasp_types[draw(st.integers(0, len(grasp_types) - 1))]
+    exact = [frame_array(np.eye(3), np.zeros(3)), frame_array(np.eye(3)[[1, 2, 0]], [0.005, 0.0, -0.01]),
+             frame_array(np.diag([-1.0, -1.0, 1.0]), np.zeros(3))]
+    poses = np.array([exact[int(rng.integers(3))] if draw(st.booleans()) else
+                      frame_array(random_rotation(rng), rng.uniform(-0.02, 0.02, 3))
+                      for _ in range(draw(st.integers(1, 40)))])
+    lo, hi = gt.collision_mesh.bounds()
+    kind = draw(st.sampled_from(["none", "scattered", "lattice"]))
+    if kind == "none":
+        points = np.zeros((0, 3))
+    elif kind == "scattered":
+        points = rng.uniform(lo - 0.03, hi + 0.03, (draw(st.sampled_from([1, 7, 300])), 3))
+    else:
+        grid = gt.collision_grid
+        axes = [grid.origin[a] + grid.voxel_size * np.arange(grid.offset[a] - 1, grid.offset[a] + grid.mask.shape[a] + 2)
+                for a in range(3)]
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    a = draw(st.integers(0, len(poses) - 1))
+    return gt, poses, points, (a, draw(st.integers(a + 1, len(poses))))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_collision_batches())
+def test_collision_verdict_does_not_depend_on_the_batch(case):
+    """Each pose's verdict is the same in the whole batch, in a slice of it
+    and alone, and equals the per-pose reference: detection's collision
+    filter checks its shortlist in slices and relies on this."""
+    gt, poses, points, (a, b) = case
+    cloud = PointCloud(points)
+    whole = hand_scene_collisions(poses, gt, cloud)
+    assert whole.tolist() == [reference_collision(p[:, :3].copy(), p[:, 3], gt, points) for p in poses]
+    assert hand_scene_collisions(poses[a:b], gt, cloud).tolist() == whole[a:b].tolist()
+    assert [hand_scene_collisions(poses[i:i + 1], gt, cloud)[0] for i in range(len(poses))] == whole.tolist()
 
 
 def test_collision_equivariant_under_pose(hand3):

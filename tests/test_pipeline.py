@@ -8,7 +8,7 @@ import pytest
 from cgrkit import pipeline
 from cgrkit.annotation import AnnotationParams, annotate_scene, read_dataset, write_dataset
 from cgrkit.cgr import CgrGridParams, best_grasp_poses, query_grasp_pose
-from cgrkit.geometry import frame_array, make_box, make_cylinder
+from cgrkit.geometry import PointCloud, frame_array, make_box, make_cylinder
 from cgrkit.hand import GraspCandidate, aligned_poses
 from cgrkit.model import DecisionBank, TrainConfig, forward, train
 from cgrkit.pipeline import (
@@ -243,10 +243,10 @@ def test_candidates_match_per_cgr_path(tmp_path, dataset0, hand3, oblique_hand):
                 assert np.array_equal(cand["pose"][:, 3], translation)
 
 
-def _reference_detect(scene, hand, ds, config, max_results, bank=None, seed=0):
-    """detect (with a bank) or detect_baseline (without), one candidate at
-    a time: per-CGR poses, per-type model batches, a sort on Python keys
-    and a per-pose collision check until max_results are free."""
+def _reference_shortlist(hand, ds, config, bank=None, seed=0):
+    """detect's (with a bank) or detect_baseline's (without) shortlist, one
+    candidate at a time: per-CGR poses, per-type model batches and a sort on
+    Python keys."""
     cands = []
     for row in _ranked_cgrs(ds, config.top_cgr):
         R, t, _, _, score = reference_grasp_pose(ds.cgr(row))
@@ -261,36 +261,72 @@ def _reference_detect(scene, hand, ds, config, max_results, bank=None, seed=0):
     else:
         jitter = np.random.default_rng(seed).random(len(cands))
         order = sorted(range(len(cands)), key=lambda i: (-cands[i]["score"], jitter[i]))
+    return [cands[i] for i in order[: config.top_candidates]]
+
+
+def _reference_detect(scene, hand, ds, config, max_results, bank=None, seed=0):
+    """The reference shortlist through a per-pose collision check until
+    max_results are free; each kept candidate notes its shortlist index."""
     points = scene.surface_cloud(1500, seed=0).points
     out = []
-    for c in (cands[i] for i in order[: config.top_candidates]):
+    for index, c in enumerate(_reference_shortlist(hand, ds, config, bank, seed)):
         if not reference_collision(c["R"], c["t"], hand.type(c["type"]), points):
-            out.append(c)
+            out.append(dict(c, index=index))
             if max_results is not None and len(out) == max_results:
                 break
     return out
 
 
-@pytest.mark.parametrize("max_results", [1, 3, None])
+def _with_cloud(scene, points):
+    """A copy of scene whose surface_cloud is always these points."""
+    out = copy.copy(scene)
+    out.surface_cloud = lambda *args, **kwargs: PointCloud(points)
+    return out
+
+
+def _palm_centres(cands, hand):
+    """World points at the centre of each candidate's palm box, which lie in
+    its solid collision grid."""
+    centres = [c["R"] @ np.mean(hand.type(c["type"]).collision_mesh.bounds(), axis=0) + c["t"] for c in cands]
+    return np.array(centres).reshape(-1, 3)
+
+
+@pytest.mark.parametrize("max_results", [1, 3, 9, 40, None])
 def test_detect_matches_per_candidate_reference(scene0, dataset0, hand3, oblique_hand, bank0, max_results):
+    """Equal to the per-candidate reference on the scene's own cloud, on that
+    cloud with the palms of the first 12 shortlisted candidates blocked, so
+    that the first free candidate lies past the first collision slice, and
+    on a cloud that blocks every shortlisted palm, where nothing is free."""
     config = DetectionConfig(top_cgr=40, top_candidates=100)
     # a bank whose every type scores all its candidates alike: ties fall to
     # the antipodal score, then to generation order
     flat = DecisionBank(copy.deepcopy(bank0.models))
     for m in flat.models.values():
         m.weights[-1][:] = 0.0
+    cloud = scene0.surface_cloud(1500, seed=0).points
+    first_free = []
     for hand, bank in ((hand3, bank0), (oblique_hand, bank0), (hand3, flat), (hand3, None), (oblique_hand, None)):
-        if bank is None:
-            got = detect_baseline(scene0, hand, config, dataset=dataset0, seed=5, max_results=max_results)
-        else:
-            got = detect(scene0, hand, bank, config, dataset=dataset0, max_results=max_results)
-        want = _reference_detect(scene0, hand, dataset0, config, max_results, bank, seed=5)
-        assert len(got) == len(want) == (max_results or len(want)) > 0
-        for g, w in zip(got, want):
-            assert g.grasp_type_id == w["type"] and g.antipodal_score == w["score"]
-            assert g.decision_score == w.get("decision")
-            assert np.array_equal(g.pose[:, :3], w["R"]) and np.array_equal(g.pose[:, 3], w["t"])
-            assert g.instance_index == dataset0.instance[w["row"]]
+        palms = _palm_centres(_reference_shortlist(hand, dataset0, config, bank, seed=5), hand)
+        for points in (cloud, np.vstack([cloud, palms[:12]]), palms):
+            scene = _with_cloud(scene0, points)
+            if bank is None:
+                got = detect_baseline(scene, hand, config, dataset=dataset0, seed=5, max_results=max_results)
+            else:
+                got = detect(scene, hand, bank, config, dataset=dataset0, max_results=max_results)
+            want = _reference_detect(scene, hand, dataset0, config, max_results, bank, seed=5)
+            if points is palms:
+                assert got == want == []
+                continue
+            assert len(got) == len(want) > 0
+            if points is cloud:  # the blocked cloud may leave fewer than max_results free
+                assert len(want) == (max_results or len(want))
+            first_free.append(want[0]["index"])
+            for g, w in zip(got, want):
+                assert g.grasp_type_id == w["type"] and g.antipodal_score == w["score"]
+                assert g.decision_score == w.get("decision")
+                assert np.array_equal(g.pose[:, :3], w["R"]) and np.array_equal(g.pose[:, 3], w["t"])
+                assert g.instance_index == dataset0.instance[w["row"]]
+    assert max(first_free) >= pipeline._FIRST_SLICE
 
 
 def test_detect_scores_and_ordering(scene0, dataset0, hand3, bank0):
@@ -424,6 +460,69 @@ def test_evaluate_detect_runs(scene0, hand3, bank0, ann_cache):
         "detect", [scene0], hand3, bank0, annotation=ANN, cache=ann_cache
     )
     assert 0 < stats.attempts <= 2 * len(scene0.instances)
+
+
+def _reference_evaluate(policy, scenes, hand, bank, config, cache, seed):
+    """evaluate as first written: annotate the scene state before every
+    attempt, and collision-check the whole shortlist before taking its top."""
+    stats = EvalStats()
+    for scene_idx, scene in enumerate(scenes):
+        state, attempt = scene, 0
+        while state.instances and attempt < 2 * len(scene.instances):
+            ds = annotate_scene(state, ANN, scene_id=scene_idx, cache=cache)
+            if policy == "detect":
+                ranked = detect(state, hand, bank, config, dataset=ds)
+            else:
+                ranked = detect_baseline(state, hand, config, dataset=ds, seed=seed + attempt)
+            if not ranked:
+                break
+            attempt += 1
+            top = ranked[0]
+            success, _ = pipeline.grasp_oracle(top, hand, state, 0.5)
+            stats.attempts += 1
+            stats.per_type_attempts[top.grasp_type_id] = stats.per_type_attempts.get(top.grasp_type_id, 0) + 1
+            if success:
+                stats.successes += 1
+                stats.per_type_successes[top.grasp_type_id] = stats.per_type_successes.get(top.grasp_type_id, 0) + 1
+                state = state.without_instance(top.instance_index)
+    return stats
+
+
+def test_evaluate_matches_reference(pool, hand3, oblique_hand, bank0, ann_cache, monkeypatch):
+    """On criterion-9 scenes, both policies and both hands give the
+    reference's EvalStats, and the oracle sees the same grasps in the same
+    order; evaluate annotates each scene state once, and some attempt
+    follows a failure on the state it left unchanged."""
+    scenes = [generate_scene(pool, SceneGenParams(instances_per_scene=3), seed=9000 + s) for s in range(4)]
+    config = DetectionConfig()
+    real_oracle, real_annotate = pipeline.grasp_oracle, pipeline.annotate_scene
+    executed, annotated = [], []
+
+    def oracle(candidate, hand, state, friction):
+        executed.append((candidate.pose.tobytes(), candidate.grasp_type_id, candidate.instance_index, state))
+        return real_oracle(candidate, hand, state, friction)
+
+    def annotate(state, *args, **kwargs):
+        annotated.append(state)
+        return real_annotate(state, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "grasp_oracle", oracle)
+    reused = 0
+    for hand in (hand3, oblique_hand):
+        for policy, bank in (("detect", bank0), ("baseline", None)):
+            executed.clear()
+            want = _reference_evaluate(policy, scenes, hand, bank, config, ann_cache, seed=3)
+            want_executed = [step[:3] for step in executed]
+            executed.clear()
+            annotated.clear()
+            with monkeypatch.context() as m:
+                m.setattr(pipeline, "annotate_scene", annotate)
+                got = evaluate(policy, scenes, hand, bank, config, annotation=ANN, seed=3, cache=ann_cache)
+            assert got == want and got.attempts > 0
+            assert [step[:3] for step in executed] == want_executed
+            assert not any(a is b for k, a in enumerate(annotated) for b in annotated[:k])
+            reused += sum(a[3] is b[3] for a, b in zip(executed, executed[1:]))
+    assert reused > 0
 
 
 def test_evaluate_clears_the_grasped_instance(hand3, monkeypatch):

@@ -13,9 +13,16 @@ round of `perfbench/run.py --seed N` (round seed N * 1000), and prints:
 - one sha256 over every grasp list that `detect` and `detect_baseline`
   returned in the round, each written through the CLI's grasp CSV writer;
 - one sha256 over the sequence of grasp-oracle outcomes, with their count;
+- one sha256 over every `EvalStats` that `evaluate` returned in the round
+  (attempts, successes and the per-type attempt and success counts), in
+  call order, with the call, attempt and success counts;
 - one sha256 over the `valid` mask of every `annotate_scene` call of the
   round (the written dataset's and the warm calls of detect and evaluate),
-  with the call count and the valid and total record counts;
+  with the call count and the valid and total record counts. `evaluate`
+  annotates each scene state once, not once per attempt, so this call count
+  is lower than that of a version that re-annotated the state after every
+  failed attempt (`loop` seed 7: 19 calls against 36) while every other
+  line stays the same;
 - one sha256 over the `(t, tri)` record of every ray that a
   `ray_intersect_batch` call casts and the result of every `ray_intersect`
   call of the round, in cast order, with the call and ray counts. Batch
@@ -33,7 +40,7 @@ round of `perfbench/run.py --seed N` (round seed N * 1000), and prints:
 Two checkouts that print the same lines wrote byte-identical files, sampled
 bit-identical pools at the same poses, judged every coverage probe alike,
 returned the same grasps to the CSV's printed precision, judged every
-executed grasp alike, kept the same records through the approach filter,
+executed grasp alike, scored every evaluation alike, kept the same records through the approach filter,
 computed the same CGR grids and got the same hit from every ray cast.
 
 Run from the repo root:  python3 tools/file_digests.py --workload loop --seed 7
@@ -59,15 +66,15 @@ from cgrkit import annotation, cgr, cli, coverage, geometry, pipeline  # noqa: E
 
 
 def _recorded_round(spec, seed: int, workdir: str):
-    """run_round with pipeline.detect, detect_baseline and grasp_oracle,
-    coverage.is_covered, annotate_scene (in `annotation`, where the
+    """run_round with pipeline.detect, detect_baseline, grasp_oracle and
+    evaluate, coverage.is_covered, annotate_scene (in `annotation`, where the
     benchmark calls it, and in `pipeline`, where evaluate calls it) and
     TriangleMesh.ray_intersect_batch and ray_intersect, and cgr_grids (in
     `cgr`, `annotation` and `coverage`) rebound to recorders; returns the
-    round, the grasp-CSV digest and count, the oracle outcomes, the coverage
-    verdicts, the valid masks, the cast digest, call count and ray count,
+    round, the grasp-CSV digest and count, the oracle outcomes, the
+    evaluation results, the coverage verdicts, the valid masks, the cast digest, call count and ray count,
     and the grid digest, call count and frame count."""
-    grasps, outcomes, verdicts, masks, n_lists = hashlib.sha256(), [], [], [], 0
+    grasps, outcomes, evals, verdicts, masks, n_lists = hashlib.sha256(), [], [], [], [], 0
     casts, n_casts = hashlib.sha256(), [0, 0]
     grids, n_grids = hashlib.sha256(), [0, 0]
     csv_path = os.path.join(workdir, "grasps.csv")
@@ -87,6 +94,11 @@ def _recorded_round(spec, seed: int, workdir: str):
         result = saved["grasp_oracle"](*args, **kwargs)
         outcomes.append(bool(result[0]))
         return result
+
+    def evaluate(*args, **kwargs):
+        stats = saved["evaluate"](*args, **kwargs)
+        evals.append(stats)
+        return stats
 
     def is_covered(*args, **kwargs):
         covered = saved_is_covered(*args, **kwargs)
@@ -121,13 +133,14 @@ def _recorded_round(spec, seed: int, workdir: str):
         n_grids[1] += len(out)
         return out
 
-    saved = {name: getattr(pipeline, name) for name in ("detect", "detect_baseline", "grasp_oracle")}
+    saved = {name: getattr(pipeline, name) for name in ("detect", "detect_baseline", "grasp_oracle", "evaluate")}
     saved_is_covered, saved_annotate = coverage.is_covered, annotation.annotate_scene
     saved_batch, saved_single = geometry.TriangleMesh.ray_intersect_batch, geometry.TriangleMesh.ray_intersect
     saved_grids = cgr.cgr_grids
     pipeline.detect = recording(saved["detect"])
     pipeline.detect_baseline = recording(saved["detect_baseline"])
     pipeline.grasp_oracle = oracle
+    pipeline.evaluate = evaluate
     coverage.is_covered = is_covered
     annotation.annotate_scene = pipeline.annotate_scene = annotate_scene
     geometry.TriangleMesh.ray_intersect_batch = ray_intersect_batch
@@ -143,7 +156,7 @@ def _recorded_round(spec, seed: int, workdir: str):
         geometry.TriangleMesh.ray_intersect_batch = saved_batch
         geometry.TriangleMesh.ray_intersect = saved_single
         cgr.cgr_grids = annotation.cgr_grids = coverage.cgr_grids = saved_grids
-    return (rnd, grasps.hexdigest(), n_lists, outcomes, verdicts, masks, (casts.hexdigest(), *n_casts),
+    return (rnd, grasps.hexdigest(), n_lists, outcomes, evals, verdicts, masks, (casts.hexdigest(), *n_casts),
             (grids.hexdigest(), *n_grids))
 
 
@@ -154,7 +167,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     spec = workloads.SPECS[args.workload]
     with tempfile.TemporaryDirectory() as workdir:
-        rnd, grasps, n_lists, outcomes, verdicts, masks, casts, grid_digest = _recorded_round(
+        rnd, grasps, n_lists, outcomes, evals, verdicts, masks, casts, grid_digest = _recorded_round(
             spec, args.seed * 1000, workdir)
         for name, path in sorted(rnd.check_inputs["paths"].items()):
             with open(path, "rb") as f:
@@ -172,6 +185,12 @@ def main(argv=None) -> int:
     print(f"grasps {grasps} ({n_lists} lists)")
     oracle = hashlib.sha256(bytes(outcomes)).hexdigest()
     print(f"oracle {oracle} ({len(outcomes)} outcomes, {sum(outcomes)} successes)")
+    scored = hashlib.sha256()
+    for stats in evals:
+        scored.update(repr((stats.attempts, stats.successes, sorted(stats.per_type_attempts.items()),
+                            sorted(stats.per_type_successes.items()))).encode() + b"\n")
+    n_attempts, n_successes = sum(s.attempts for s in evals), sum(s.successes for s in evals)
+    print(f"evals {scored.hexdigest()} ({len(evals)} calls, {n_attempts} attempts, {n_successes} successes)")
     valid = hashlib.sha256()
     for mask in masks:
         valid.update(mask.tobytes())
