@@ -42,8 +42,9 @@ _SCENE_CLOUD_POINTS = 1500
 # collection attempts allowed per requested trial before it reports a stall
 _ATTEMPTS_PER_TRIAL = 50
 # candidates in the first shortlist slice that detection collision-checks
-# when it wants only max_results grasps: on the benchmark's scenes the first
-# free candidate lay at index 6 at most
+# when it wants only max_results grasps: in 171 one-grasp calls of eight
+# benchmark rounds, the first free candidate lay within the first 8 in all
+# but one (index 9)
 _FIRST_SLICE = 8
 
 

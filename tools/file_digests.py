@@ -40,8 +40,9 @@ round of `perfbench/run.py --seed N` (round seed N * 1000), and prints:
 Two checkouts that print the same lines wrote byte-identical files, sampled
 bit-identical pools at the same poses, judged every coverage probe alike,
 returned the same grasps to the CSV's printed precision, judged every
-executed grasp alike, scored every evaluation alike, kept the same records through the approach filter,
-computed the same CGR grids and got the same hit from every ray cast.
+executed grasp alike, scored every evaluation alike, kept the same records
+through the approach filter, computed the same CGR grids and got the same
+hit from every ray cast.
 
 Run from the repo root:  python3 tools/file_digests.py --workload loop --seed 7
 """
@@ -72,8 +73,9 @@ def _recorded_round(spec, seed: int, workdir: str):
     TriangleMesh.ray_intersect_batch and ray_intersect, and cgr_grids (in
     `cgr`, `annotation` and `coverage`) rebound to recorders; returns the
     round, the grasp-CSV digest and count, the oracle outcomes, the
-    evaluation results, the coverage verdicts, the valid masks, the cast digest, call count and ray count,
-    and the grid digest, call count and frame count."""
+    evaluation results, the coverage verdicts, the valid masks, the cast
+    digest, call count and ray count, and the grid digest, call count and
+    frame count."""
     grasps, outcomes, evals, verdicts, masks, n_lists = hashlib.sha256(), [], [], [], [], 0
     casts, n_casts = hashlib.sha256(), [0, 0]
     grids, n_grids = hashlib.sha256(), [0, 0]
