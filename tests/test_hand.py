@@ -284,6 +284,14 @@ def test_collision_grids_match_binary_fill_holes(name):
         assert np.array_equal(gt.collision_grid.mask, binary_fill_holes(surface))
 
 
+def _lattice_corners(grid):
+    """Every corner of the voxel lattice around the grid, one cell beyond it:
+    points that lie exactly on voxel faces."""
+    axes = [grid.origin[a] + grid.voxel_size * np.arange(grid.offset[a] - 1, grid.offset[a] + grid.mask.shape[a] + 2)
+            for a in range(3)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
 def test_batched_collision_matches_per_pose(hand3):
     """One batched pass equals the per-pose check on random poses, on
     points lying exactly on voxel faces and on an empty cloud."""
@@ -293,10 +301,7 @@ def test_batched_collision_matches_per_pose(hand3):
         lo, hi = gt.collision_mesh.bounds()
         grid = gt.collision_grid
         assert grid.voxel_size == voxel
-        # face points: every corner of the voxel lattice around the palm
-        axes = [grid.origin[a] + voxel * np.arange(grid.offset[a] - 1, grid.offset[a] + grid.mask.shape[a] + 2)
-                for a in range(3)]
-        faces = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        faces = _lattice_corners(grid)
         scattered = rng.uniform(lo - 0.03, hi + 0.03, (1500, 3))
         # exact poses keep face points on the faces; random ones move them
         exact = [frame_array(np.eye(3), np.zeros(3)), frame_array(np.eye(3)[[1, 2, 0]], [voxel, 0.0, -2 * voxel]),
@@ -325,7 +330,8 @@ def _collision_batches(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     grasp_types = _bundled_hand(draw(st.sampled_from(["archetype3", "archetype4", "archetype5"]))).grasp_types
     gt = grasp_types[draw(st.integers(0, len(grasp_types) - 1))]
-    exact = [frame_array(np.eye(3), np.zeros(3)), frame_array(np.eye(3)[[1, 2, 0]], [0.005, 0.0, -0.01]),
+    exact = [frame_array(np.eye(3), np.zeros(3)),
+             frame_array(np.eye(3)[[1, 2, 0]], [COLLISION_VOXEL, 0.0, -2 * COLLISION_VOXEL]),
              frame_array(np.diag([-1.0, -1.0, 1.0]), np.zeros(3))]
     poses = np.array([exact[int(rng.integers(3))] if draw(st.booleans()) else
                       frame_array(random_rotation(rng), rng.uniform(-0.02, 0.02, 3))
@@ -337,10 +343,7 @@ def _collision_batches(draw):
     elif kind == "scattered":
         points = rng.uniform(lo - 0.03, hi + 0.03, (draw(st.sampled_from([1, 7, 300])), 3))
     else:
-        grid = gt.collision_grid
-        axes = [grid.origin[a] + grid.voxel_size * np.arange(grid.offset[a] - 1, grid.offset[a] + grid.mask.shape[a] + 2)
-                for a in range(3)]
-        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        points = _lattice_corners(gt.collision_grid)
     a = draw(st.integers(0, len(poses) - 1))
     return gt, poses, points, (a, draw(st.integers(a + 1, len(poses))))
 
