@@ -463,8 +463,9 @@ def test_evaluate_detect_runs(scene0, hand3, bank0, ann_cache):
 
 
 def _reference_evaluate(policy, scenes, hand, bank, config, cache, seed):
-    """evaluate as first written: annotate the scene state before every
-    attempt, and collision-check the whole shortlist before taking its top."""
+    """evaluate without reuse or early stop: annotate the scene state before
+    every attempt, and collision-check the whole shortlist before taking its
+    top grasp."""
     stats = EvalStats()
     for scene_idx, scene in enumerate(scenes):
         state, attempt = scene, 0
